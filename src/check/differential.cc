@@ -47,7 +47,7 @@ DifferentialRun RunOneBackend(const DifferentialOptions& options,
     run.results.push_back(value);
     EbrDomain::Global().Quiesce();
   }
-  EbrDomain::Global().Quiesce();
+  EbrDomain::Global().Offline();
   EbrDomain::Global().TryReclaim();
 
   InvariantReport invariants = CheckInvariants(data);

@@ -63,6 +63,9 @@ DataHolder::DataHolder(const Setup& setup) : setup_(setup) {
 
   Rng rng(setup_.seed);
   BuildInitialStructure(rng);
+  // The build quiesces nowhere; whoever runs operations next quiesces
+  // itself online, so the builder must not hold back the epoch meanwhile.
+  EbrDomain::Global().Offline();
 }
 
 void DataHolder::BuildInitialStructure(Rng& rng) {
@@ -153,6 +156,7 @@ void DataHolder::FreeEverything() {
   module_ = nullptr;
   manual_ = nullptr;
   EbrDomain::Global().DrainAll();
+  EbrDomain::Global().Offline();
 }
 
 DataHolder::~DataHolder() { FreeEverything(); }

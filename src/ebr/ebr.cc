@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "src/common/diag.h"
 
@@ -53,8 +54,9 @@ class EbrDomain::ThreadState {
   EbrDomain* domain_;
   uint64_t domain_id_;
   int slot_;
-  std::vector<Retired> limbo_;
+  std::deque<Retired> limbo_;  // in nondecreasing epoch order
   uint64_t quiesce_calls_ = 0;
+  bool online_ = false;
 };
 
 namespace {
@@ -79,11 +81,10 @@ EbrDomain& EbrDomain::Global() {
 }
 
 int EbrDomain::RegisterThread() {
-  const uint64_t now = global_epoch_.load(std::memory_order_acquire);
+  // A free slot already announces kOffline, so the thread starts offline.
   for (int i = 0; i < kMaxThreads; ++i) {
     bool expected = false;
     if (slots_[i].in_use.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
-      slots_[i].local_epoch.store(now, std::memory_order_release);
       return i;
     }
   }
@@ -91,11 +92,15 @@ int EbrDomain::RegisterThread() {
   return -1;
 }
 
-void EbrDomain::UnregisterThread(int slot, std::vector<Retired>&& leftovers) {
+void EbrDomain::UnregisterThread(int slot, std::deque<Retired>&& leftovers) {
   {
     std::lock_guard<std::mutex> lock(orphan_mu_);
+    const auto middle = static_cast<std::ptrdiff_t>(orphans_.size());
     orphans_.insert(orphans_.end(), leftovers.begin(), leftovers.end());
+    std::inplace_merge(orphans_.begin(), orphans_.begin() + middle, orphans_.end(),
+                       [](const Retired& a, const Retired& b) { return a.epoch < b.epoch; });
   }
+  slots_[slot].local_epoch.store(kOffline, std::memory_order_release);
   slots_[slot].in_use.store(false, std::memory_order_release);
 }
 
@@ -112,8 +117,15 @@ EbrDomain::ThreadState& EbrDomain::LocalState() {
 
 void EbrDomain::Retire(void* ptr, void (*deleter)(void*)) {
   ThreadState& state = LocalState();
-  state.limbo_.push_back(
-      Retired{ptr, deleter, global_epoch_.load(std::memory_order_acquire)});
+  // An online retirer orders its unlink before later epoch advances through
+  // its next announcement. An offline one announces nothing, so it reads the
+  // epoch with a read-modify-write instead: every advance is a CAS, so it
+  // continues this release sequence, and a reader that loads a later epoch
+  // sees the unlink.
+  const uint64_t epoch = state.online_
+                             ? global_epoch_.load(std::memory_order_acquire)
+                             : global_epoch_.fetch_add(0, std::memory_order_acq_rel);
+  state.limbo_.push_back(Retired{ptr, deleter, epoch});
   pending_.fetch_add(1, std::memory_order_relaxed);
   if (state.limbo_.size() >= kLimboReclaimThreshold) {
     TryReclaim();
@@ -124,39 +136,63 @@ void EbrDomain::Quiesce() {
   ThreadState& state = LocalState();
   slots_[state.slot_].local_epoch.store(global_epoch_.load(std::memory_order_acquire),
                                         std::memory_order_release);
+  if (!state.online_) {
+    // Coming online (the store above, then reads of shared structures) is a
+    // store-load pattern against TryReclaim (retire, then read the slots).
+    // With a fence on both sides, either the reclaimer sees this
+    // announcement or every read from here on sees the unlinks it reclaims.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    state.online_ = true;
+  }
   if (++state.quiesce_calls_ % kQuiesceReclaimPeriod == 0 || !state.limbo_.empty()) {
     TryReclaim();
   }
 }
 
-uint64_t EbrDomain::MinAnnouncedEpoch() const {
-  uint64_t min_epoch = global_epoch_.load(std::memory_order_acquire);
-  for (const Slot& slot : slots_) {
-    if (slot.in_use.load(std::memory_order_acquire)) {
-      min_epoch = std::min(min_epoch, slot.local_epoch.load(std::memory_order_acquire));
-    }
-  }
-  return min_epoch;
+void EbrDomain::Offline() {
+  ThreadState& state = LocalState();
+  // Release: the references this thread dropped are dead before a reclaimer
+  // that reads kOffline frees anything.
+  slots_[state.slot_].local_epoch.store(kOffline, std::memory_order_release);
+  state.online_ = false;
 }
 
-void EbrDomain::FreeSafe(std::vector<Retired>& limbo, uint64_t safe_before) {
-  auto writer = limbo.begin();
-  for (auto& entry : limbo) {
-    if (entry.epoch < safe_before) {
-      entry.deleter(entry.ptr);
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-    } else {
-      *writer++ = entry;
+EbrDomain::Announcement EbrDomain::OldestAnnouncement() const {
+  // Offline threads and free slots announce kOffline, which never wins.
+  Announcement oldest{global_epoch_.load(std::memory_order_acquire), -1};
+  for (int i = 0; i < kMaxThreads; ++i) {
+    const uint64_t epoch = slots_[i].local_epoch.load(std::memory_order_acquire);
+    if (epoch < oldest.epoch) {
+      oldest = Announcement{epoch, i};
     }
   }
-  limbo.erase(writer, limbo.end());
+  return oldest;
+}
+
+int EbrDomain::LaggardSlot() const { return OldestAnnouncement().slot; }
+
+int64_t EbrDomain::FreeSafe(std::deque<Retired>& limbo, uint64_t safe_before) {
+  int64_t freed = 0;
+  while (!limbo.empty() && limbo.front().epoch < safe_before) {
+    // Pop before running the deleter, so a deleter that retires is safe.
+    const Retired entry = limbo.front();
+    limbo.pop_front();
+    entry.deleter(entry.ptr);
+    ++freed;
+  }
+  if (freed > 0) {
+    pending_.fetch_sub(freed, std::memory_order_relaxed);
+  }
+  return freed;
 }
 
 void EbrDomain::TryReclaim() {
-  const uint64_t min_epoch = MinAnnouncedEpoch();
+  // Pairs with the fence in Quiesce's online transition.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  const uint64_t min_epoch = OldestAnnouncement().epoch;
   const uint64_t global = global_epoch_.load(std::memory_order_acquire);
   if (min_epoch == global) {
-    // Every thread has seen the current epoch; it is safe to open a new one.
+    // Every online thread has seen the current epoch; open a new one.
     uint64_t expected = global;
     global_epoch_.compare_exchange_strong(expected, global + 1, std::memory_order_acq_rel);
   }
@@ -173,19 +209,10 @@ void EbrDomain::TryReclaim() {
 }
 
 int64_t EbrDomain::DrainAll() {
-  int64_t freed = 0;
   const uint64_t everything = ~uint64_t{0};
-  {
-    std::vector<Retired>& limbo = LocalState().limbo_;
-    freed += static_cast<int64_t>(limbo.size());
-    FreeSafe(limbo, everything);
-  }
-  {
-    std::lock_guard<std::mutex> lock(orphan_mu_);
-    freed += static_cast<int64_t>(orphans_.size());
-    FreeSafe(orphans_, everything);
-  }
-  return freed;
+  const int64_t freed = FreeSafe(LocalState().limbo_, everything);
+  std::lock_guard<std::mutex> lock(orphan_mu_);
+  return freed + FreeSafe(orphans_, everything);
 }
 
 int64_t EbrDomain::PendingCount() const { return pending_.load(std::memory_order_relaxed); }

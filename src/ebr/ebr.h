@@ -10,25 +10,35 @@
 // transaction / critical section).
 //
 // Usage contract:
-//   * every worker thread registers once (RAII ThreadRegistration, or lazily
-//     through the thread_local accessor);
-//   * threads announce quiescence between benchmark operations by calling
-//     EbrDomain::Quiesce();
+//   * a thread registers lazily on its first call into the domain, and a
+//     registered thread is either *online* or *offline*. It starts offline;
+//   * Quiesce() is the only way online. A thread must call it before its
+//     first optimistic read of shared structures, and again between
+//     operations to announce that it holds no references into them;
+//   * Offline() announces that the thread will hold no references until its
+//     next Quiesce(). An offline thread never holds back the epoch, so every
+//     thread that stops running operations (a caller blocked in join(), a
+//     thread that only builds, drains, checks or replays a structure) goes
+//     offline instead of pinning reclamation for everyone else;
+//   * any thread, online or offline, may Retire() objects it unlinked;
 //   * deleters run on whichever thread triggers reclamation; they must not
 //     touch shared state.
 //
 // The implementation is the classic three-epoch scheme folded into QSBR: a
-// global epoch advances once every registered thread has observed it; retired
-// objects tagged with epoch E are freed once the global epoch reaches E + 2.
+// global epoch advances once every online thread has observed it; retired
+// objects tagged with epoch E are freed once every online thread has
+// announced E + 2. A thread's limbo list is appended in epoch order, so a
+// reclamation pass frees a prefix and costs O(freed), not O(limbo): a
+// thread that lags behind costs memory, not CPU per operation.
 
 #ifndef STMBENCH7_SRC_EBR_EBR_H_
 #define STMBENCH7_SRC_EBR_EBR_H_
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <type_traits>
-#include <vector>
 
 namespace sb7 {
 
@@ -57,23 +67,35 @@ class EbrDomain {
   }
 
   // Announces that the calling thread holds no references into shared
-  // structures. Cheap; called between operations.
+  // structures and puts it online (it may read them from now on). Cheap;
+  // called between operations.
   void Quiesce();
+
+  // Takes the calling thread offline: it holds no references into shared
+  // structures and will take none before its next Quiesce(). Until then it
+  // is ignored when the epoch advances.
+  void Offline();
 
   // Attempts to advance the global epoch and free everything that became
   // safe. Called internally from Quiesce()/Retire(); exposed for tests and
   // for draining at shutdown.
   void TryReclaim();
 
-  // Frees every retired object unconditionally. Only safe when the caller
-  // guarantees no other thread is inside a read-side section (e.g. after all
-  // workers joined). Returns the number of objects freed.
+  // Frees every object the calling thread and exited threads retired,
+  // unconditionally. Only safe when the caller guarantees no other thread is
+  // inside a read-side section (e.g. after all workers joined). Returns the
+  // number of objects freed.
   int64_t DrainAll();
 
   // Number of objects currently waiting in limbo (approximate; for tests).
   int64_t PendingCount() const;
 
   uint64_t global_epoch() const { return global_epoch_.load(std::memory_order_acquire); }
+
+  // The slot of an online thread holding back the epoch (the lowest
+  // announced epoch, when it is behind the global one), or -1 when none is.
+  // A slot named here across many observations marks a stalled thread.
+  int LaggardSlot() const;
 
  private:
   struct Retired {
@@ -82,11 +104,13 @@ class EbrDomain {
     uint64_t epoch;
   };
 
+  // Announced by offline threads and free slots; never the minimum.
+  static constexpr uint64_t kOffline = ~uint64_t{0};
+
   struct Slot {
     std::atomic<bool> in_use{false};
-    // Last global epoch this thread has announced. kOffline when the thread
-    // is registered but has never quiesced yet (treated as current).
-    std::atomic<uint64_t> local_epoch{0};
+    // Last global epoch the thread announced, or kOffline.
+    std::atomic<uint64_t> local_epoch{kOffline};
   };
 
   class ThreadState;
@@ -94,14 +118,21 @@ class EbrDomain {
 
   // Registers the calling thread and returns its slot index.
   int RegisterThread();
-  void UnregisterThread(int slot, std::vector<Retired>&& leftovers);
+  void UnregisterThread(int slot, std::deque<Retired>&& leftovers);
 
   ThreadState& LocalState();
 
-  // Smallest epoch announced by any registered thread.
-  uint64_t MinAnnouncedEpoch() const;
+  struct Announcement {
+    uint64_t epoch;
+    int slot;
+  };
+  // The smallest epoch an online thread announced and its slot, when it is
+  // behind the global epoch; else the global epoch and slot -1.
+  Announcement OldestAnnouncement() const;
 
-  void FreeSafe(std::vector<Retired>& limbo, uint64_t safe_before);
+  // Frees the prefix of `limbo` retired before `safe_before`; the list must
+  // be in nondecreasing epoch order. Returns the number freed.
+  int64_t FreeSafe(std::deque<Retired>& limbo, uint64_t safe_before);
 
   std::atomic<uint64_t> global_epoch_{2};
   // Distinguishes domain generations: a domain constructed at the address of
@@ -110,9 +141,10 @@ class EbrDomain {
   uint64_t id_;
   Slot slots_[kMaxThreads];
 
-  // Objects inherited from exited threads; protected by orphan_mu_.
+  // Objects inherited from exited threads, kept in epoch order; protected by
+  // orphan_mu_.
   mutable std::mutex orphan_mu_;
-  std::vector<Retired> orphans_;
+  std::deque<Retired> orphans_;
 
   std::atomic<int64_t> pending_{0};
 };

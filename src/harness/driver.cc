@@ -176,6 +176,17 @@ BenchmarkRunner::BenchmarkRunner(const BenchConfig& config) : config_(config) {
                                         phase->executed.load(std::memory_order_relaxed))
                                   : 0.0;
         });
+    // Reclamation health: a stalled run shows a laggard slot that stays put
+    // while the epoch stands still and the pending count climbs.
+    telemetry_->registry().AddGauge(
+        "sb7_ebr_epoch", "Global EBR epoch",
+        []() { return static_cast<double>(EbrDomain::Global().global_epoch()); });
+    telemetry_->registry().AddGauge(
+        "sb7_ebr_pending", "Retired objects waiting to be freed",
+        []() { return static_cast<double>(EbrDomain::Global().PendingCount()); });
+    telemetry_->registry().AddGauge(
+        "sb7_ebr_laggard_slot", "EBR slot holding back the epoch (-1 = none)",
+        []() { return static_cast<double>(EbrDomain::Global().LaggardSlot()); });
   }
 }
 
@@ -479,6 +490,9 @@ BenchResult BenchmarkRunner::Run() {
   std::vector<std::vector<PaceMetrics>> per_thread_pace(
       spawn_threads_, std::vector<PaceMetrics>(phase_count));
 
+  // The caller only waits for the workers (or becomes the single worker,
+  // which quiesces itself online); offline, it cannot hold back the epoch.
+  EbrDomain::Global().Offline();
   Rng seeder(config_.seed ^ 0x9d867b3543aa5391ull);
   if (tracer_ != nullptr) {
     tracer_->Install();
@@ -616,8 +630,14 @@ BenchResult BenchmarkRunner::Run() {
     result.latency_by_op = tracer_->LatencyByOp();
     result.trace_events_dropped = tracer_->TotalDropped();
   }
-  EbrDomain::Global().Quiesce();
-  EbrDomain::Global().TryReclaim();
+  // The workers have exited and the caller is offline. Unless a thread
+  // elsewhere is online, every pass opens a new epoch, and an object is safe
+  // two epochs after it was retired: three passes free all the run retired.
+  EbrDomain& ebr = EbrDomain::Global();
+  ebr.Offline();
+  for (int pass = 0; pass < 3; ++pass) {
+    ebr.TryReclaim();
+  }
   return result;
 }
 

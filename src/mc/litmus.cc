@@ -341,6 +341,45 @@ Litmus MakeStmIncrementPair(std::string_view backend) {
   return litmus;
 }
 
+Litmus MakeStmWriteSkew(std::string_view backend) {
+  auto cells = std::make_shared<StmCells>(backend);
+  Litmus litmus;
+  litmus.name = "stm-write-skew-" + std::string(backend);
+  litmus.summary = "two read-both, set-one-if-zero transactions keep x + y == 1";
+  litmus.expect_violation = false;
+  // The skew needs one early preemption: both transactions read before
+  // either commits.
+  litmus.smoke_switch_bound = 1;
+  litmus.setup = [cells] { StmSetup(cells); };
+  // Each body reads both cells and writes only its own: the disjoint write
+  // sets give no write-write conflict, so only read validation keeps a
+  // second commit out.
+  const auto set_if_both_zero = [cells](McCell* mine) {
+    return [cells, mine] {
+      cells->stm->RunAtomically([&](Transaction&) {
+        if (cells->x.value.Get() + cells->y.value.Get() == 0) {
+          mine->value.Set(1);
+        }
+      });
+    };
+  };
+  litmus.bodies = {set_if_both_zero(&cells->x), set_if_both_zero(&cells->y)};
+  litmus.check = [cells]() -> std::string {
+    if (std::string failure = OpacityFailure(*cells); !failure.empty()) {
+      return failure;
+    }
+    const int64_t x = cells->x.value.Get();
+    const int64_t y = cells->y.value.Get();
+    if (x + y != 1) {
+      std::ostringstream out;
+      out << "write skew: x == " << x << ", y == " << y << ", want exactly one set";
+      return out.str();
+    }
+    return std::string();
+  };
+  return litmus;
+}
+
 // --- group-commit litmus: the durability protocol under the explorer -------
 
 // mvstm with the group-commit sequencer attached, logging to an in-memory
@@ -488,6 +527,7 @@ std::vector<Litmus> BuildAll() {
     all.push_back(MakeStmLostUpdate(backend));
     all.push_back(MakeStmSnapshot(backend));
     all.push_back(MakeStmIncrementPair(backend));
+    all.push_back(MakeStmWriteSkew(backend));
   }
   all.push_back(MakeGroupCommitPair());
   all.push_back(MakeGroupCommitSnapshot());

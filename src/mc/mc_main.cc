@@ -52,6 +52,7 @@ struct Options {
   sb7::mc::ExploreOptions explore;
   bool max_schedules_given = false;
   bool max_steps_given = false;
+  bool switch_bound_given = false;
   std::string error;
 };
 
@@ -107,6 +108,7 @@ Options ParseArgs(int argc, char** argv) {
         return fail("--switch-bound requires a count or -1");
       }
       options.explore.switch_bound = static_cast<int>(n);
+      options.switch_bound_given = true;
     } else if (arg == "--no-reduction") {
       options.explore.sleep_sets = false;
     } else if (arg == "--trace-out") {
@@ -230,7 +232,11 @@ int main(int argc, char** argv) {
 
   int mismatches = 0;
   for (const sb7::mc::Litmus* litmus : selected) {
-    const sb7::mc::ExploreResult result = sb7::mc::Explore(*litmus, options.explore);
+    sb7::mc::ExploreOptions explore = options.explore;
+    if (options.smoke && !options.switch_bound_given) {
+      explore.switch_bound = litmus->smoke_switch_bound;
+    }
+    const sb7::mc::ExploreResult result = sb7::mc::Explore(*litmus, explore);
     const bool found = result.failures > 0;
     const bool ok = found == litmus->expect_violation;
     std::cout << (ok ? "PASS" : "FAIL") << " " << litmus->name << ": " << result.schedules

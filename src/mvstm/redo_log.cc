@@ -611,7 +611,9 @@ ReplayResult RecoverFromBytes(const std::string& bytes, const std::string& backe
     }
   }
   ResetHotspotPolicy();
-  EbrDomain::Global().Quiesce();
+  // Replay is single-threaded: nobody else reclaims this world, so the check
+  // below runs offline and the thread leaves the epoch alone afterwards.
+  EbrDomain::Global().Offline();
   EbrDomain::Global().TryReclaim();
 
   const InvariantReport invariants = CheckInvariants(data);

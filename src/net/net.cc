@@ -90,6 +90,16 @@ bool SetNonBlocking(int fd) {
 #endif
 }
 
+bool SetNoDelay(int fd) {
+#if defined(SB7_HAVE_SOCKETS)
+  const int one = 1;
+  return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) == 0;
+#else
+  (void)fd;
+  return false;
+#endif
+}
+
 #if defined(SB7_HAVE_SOCKETS)
 
 int PollRetry(pollfd* fds, int nfds, int timeout_ms) {
@@ -295,8 +305,7 @@ ConnectResult ConnectTcp(const std::string& host, int port) {
     result.error = std::string("connect: ") + std::strerror(errno);
     return result;
   }
-  const int one = 1;
-  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  SetNoDelay(fd.get());
   result.fd = std::move(fd);
 #else
   (void)host;

@@ -67,6 +67,11 @@ void CloseFd(int fd);
 /// Marks `fd` O_NONBLOCK. Returns false (errno preserved) on failure.
 bool SetNonBlocking(int fd);
 
+/// Sets TCP_NODELAY on a connected socket. The serve protocol is small
+/// request/response frames, where Nagle's algorithm would hold each one
+/// back behind the peer's delayed ACK. Returns false on failure.
+bool SetNoDelay(int fd);
+
 #if defined(SB7_HAVE_SOCKETS)
 
 /// poll(2) retrying EINTR with the remaining timeout re-armed, so a signal
@@ -122,9 +127,8 @@ struct ConnectResult {
   bool ok() const { return error.empty(); }
 };
 
-/// Connects to `host:port` (IPv4 dotted quad or "localhost"). TCP_NODELAY
-/// is set: the serve protocol is small request/response frames where
-/// Nagle's algorithm would serialize the closed loop on delayed ACKs.
+/// Connects to `host:port` (IPv4 dotted quad or "localhost"), with
+/// TCP_NODELAY set (see SetNoDelay).
 ConnectResult ConnectTcp(const std::string& host, int port);
 
 }  // namespace sb7::net

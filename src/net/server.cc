@@ -270,6 +270,7 @@ void OpServer::AcceptNewSessions(Poller* poller) {
       CloseFd(client);
       continue;
     }
+    SetNoDelay(client);  // best effort: a response only waits longer without it
     auto session = std::make_shared<Session>();
     session->fd = UniqueFd(client);
     {

@@ -71,6 +71,27 @@ bool AstmTx::ValidateReadList() {
   return true;
 }
 
+bool AstmTx::ReadUnitOwnedByRival() {
+  // Write skew: T1 and T2 both read {a, b}, T1 then owns a and T2 owns b.
+  // Neither has flushed, so both read lists still validate by version. DSTM
+  // semantics close the gap: a read unit owned by another live transaction
+  // is a conflict. Each side stores its ownership (OpenWrite's CAS) and then
+  // loads the other's, a Dekker pattern.
+  // mo: seq_cst fence — orders our ownership CASes before the owner loads
+  // below; with the rival's matching fence at least one of the two
+  // committers sees the other's ownership.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  for (const auto& [unit, version] : read_map_) {
+    // mo: acquire — an owner we see must be chased for its status.
+    AstmTx* owner = unit->astm_owner.load(std::memory_order_acquire);
+    if (owner != nullptr && owner != this && owner->status() != AstmStatus::kAborted) {
+      SetTxAbortCause(AbortCause::kReadValidation, UnitConflictKey(*unit));
+      return true;
+    }
+  }
+  return false;
+}
+
 void AstmTx::HandleConflict(const TmUnit& unit, AstmTx& owner, int& retries) {
   if (owner.status() != AstmStatus::kActive) {
     // The owner is committing or cleaning up; it will release shortly.
@@ -205,6 +226,12 @@ void AstmTx::Write(TxFieldBase& field, uint64_t value) {
 }
 
 bool AstmTx::TryCommit() {
+  // A read-only transaction serializes at its validation below, before any
+  // rival's flush; only one that writes can complete a skew.
+  if (!write_order_.empty() && ReadUnitOwnedByRival()) {
+    AbortSelf();
+    return false;
+  }
   if (!ValidateReadList()) {
     // Cause and conflict key were set by ValidateReadList.
     AbortSelf();

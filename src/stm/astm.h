@@ -93,6 +93,9 @@ class AstmTx : public TxImplBase {
   WriteImage& OpenWrite(TmUnit& unit);
   void HandleConflict(const TmUnit& unit, AstmTx& owner, int& retries);
   bool ValidateReadList();
+  // True (cause recorded) when another live transaction owns a unit this
+  // one read.
+  bool ReadUnitOwnedByRival();
   void ReleaseOwnerships();
 
   StmStats& stats_;

@@ -140,5 +140,173 @@ TEST(EbrTest, ExitedThreadsLimboIsInherited) {
   EXPECT_EQ(destroyed.load(), 10);
 }
 
+// A registered thread that changes its EBR state only when the test asks.
+// Each request runs on that thread and returns once it is done.
+class ParkedThread {
+ public:
+  explicit ParkedThread(EbrDomain& domain) : domain_(domain), thread_([this] { Loop(); }) {}
+  ~ParkedThread() {
+    Post(kExit);
+    thread_.join();
+  }
+  ParkedThread(const ParkedThread&) = delete;
+  ParkedThread& operator=(const ParkedThread&) = delete;
+
+  void GoOnline() { Post(kQuiesce); }
+  void GoOffline() { Post(kOffline); }
+
+ private:
+  enum Step { kIdle, kQuiesce, kOffline, kExit };
+
+  void Post(Step step) {
+    request_.store(step);
+    while (request_.load() != kIdle) {
+      std::this_thread::yield();
+    }
+  }
+
+  void Loop() {
+    Step step;
+    while ((step = request_.load()) != kExit) {
+      if (step == kIdle) {
+        std::this_thread::yield();
+        continue;
+      }
+      if (step == kQuiesce) {
+        domain_.Quiesce();
+      } else {
+        domain_.Offline();
+      }
+      request_.store(kIdle);
+    }
+    request_.store(kIdle);
+  }
+
+  EbrDomain& domain_;
+  std::atomic<Step> request_{kIdle};
+  std::thread thread_;  // last: it runs Loop(), which uses the members above
+};
+
+void RetireTracked(EbrDomain& domain, std::atomic<int>& destroyed) {
+  domain.Retire(new Tracked(destroyed), [](void* p) { delete static_cast<Tracked*>(p); });
+}
+
+void Reclaim(EbrDomain& domain, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    domain.Quiesce();
+    domain.TryReclaim();
+  }
+}
+
+TEST(EbrTest, OfflineThreadNeitherBlocksAdvanceNorFrees) {
+  std::atomic<int> destroyed{0};
+  EbrDomain domain;
+  domain.Quiesce();
+  ParkedThread idle(domain);
+  idle.GoOnline();
+  idle.GoOffline();
+
+  // Offline, the idle thread is ignored: the epoch moves and frees happen.
+  const uint64_t before = domain.global_epoch();
+  RetireTracked(domain, destroyed);
+  Reclaim(domain, 8);
+  EXPECT_GE(domain.global_epoch() - before, 4u);
+  EXPECT_EQ(destroyed.load(), 1);
+  domain.Offline();
+  EXPECT_EQ(domain.LaggardSlot(), -1);  // nobody online, nobody lagging
+
+  // Its next Quiesce puts it back online at the current epoch, and from
+  // then on it holds the epoch back again: one advance at most, no frees.
+  idle.GoOnline();
+  const uint64_t pinned = domain.global_epoch();
+  RetireTracked(domain, destroyed);
+  Reclaim(domain, 8);
+  EXPECT_LE(domain.global_epoch() - pinned, 1u);
+  EXPECT_EQ(destroyed.load(), 1);
+  EXPECT_EQ(domain.PendingCount(), 1);
+  domain.Offline();
+  EXPECT_GE(domain.LaggardSlot(), 0);  // the idle thread's slot
+
+  idle.GoOffline();
+  Reclaim(domain, 4);
+  EXPECT_EQ(destroyed.load(), 2);
+  EXPECT_EQ(domain.PendingCount(), 0);
+}
+
+TEST(EbrTest, ReclaimFreesExactlyThePrefixOlderThanTheSafeEpoch) {
+  // With one online thread, a Quiesce that finds the global epoch at g
+  // announces g and frees what was retired before g - 1: the entries at
+  // least two epochs old. Everything younger must stay.
+  constexpr int kBatches = 6;
+  constexpr int kPerBatch = 3;
+  std::vector<std::atomic<int>> destroyed(kBatches);  // outlives the domain
+  std::vector<uint64_t> epochs(kBatches);
+  EbrDomain domain;
+  domain.Quiesce();
+  for (int batch = 0; batch < kBatches; ++batch) {
+    epochs[batch] = domain.global_epoch();
+    for (int i = 0; i < kPerBatch; ++i) {
+      RetireTracked(domain, destroyed[batch]);
+    }
+    const uint64_t found = domain.global_epoch();
+    domain.Quiesce();
+    int64_t pending = 0;
+    for (int b = 0; b <= batch; ++b) {
+      const bool safe = epochs[b] + 1 < found;
+      EXPECT_EQ(destroyed[b].load(), safe ? kPerBatch : 0) << "batch " << b << " after " << batch;
+      pending += safe ? 0 : kPerBatch;
+    }
+    EXPECT_EQ(domain.PendingCount(), pending) << "after batch " << batch;
+  }
+  // Each Quiesce advanced the epoch once, so the two latest batches wait.
+  EXPECT_EQ(domain.PendingCount(), 2 * kPerBatch);
+}
+
+TEST(EbrTest, OrphansOfExitedThreadsAreReclaimedInEpochOrder) {
+  std::atomic<int> early{0};
+  std::atomic<int> late{0};
+  EbrDomain domain;
+  domain.Quiesce();
+
+  // `early` retires first but exits last, so its orphans land behind the
+  // younger ones of `late`. Reclamation must still free them first.
+  std::atomic<bool> retired{false};
+  std::atomic<bool> release{false};
+  std::thread early_thread([&] {
+    for (int i = 0; i < 5; ++i) {
+      RetireTracked(domain, early);
+    }
+    retired = true;
+    while (!release.load()) {
+      std::this_thread::yield();
+    }
+  });
+  while (!retired.load()) {
+    std::this_thread::yield();
+  }
+  const uint64_t early_epoch = domain.global_epoch();
+  Reclaim(domain, 3);  // advances once a round: the retiring threads are offline
+  std::thread late_thread([&] {
+    for (int i = 0; i < 5; ++i) {
+      RetireTracked(domain, late);
+    }
+  });
+  late_thread.join();
+  release = true;
+  early_thread.join();
+  EXPECT_EQ(domain.PendingCount(), 10);
+
+  // Main announces early_epoch + 3: safe for the early orphans only.
+  domain.Quiesce();
+  domain.TryReclaim();
+  EXPECT_EQ(domain.global_epoch(), early_epoch + 4);
+  EXPECT_EQ(early.load(), 5);
+  EXPECT_EQ(late.load(), 0);
+
+  Reclaim(domain, 4);
+  EXPECT_EQ(late.load(), 5);
+  EXPECT_EQ(domain.PendingCount(), 0);
+}
+
 }  // namespace
 }  // namespace sb7

@@ -1,11 +1,13 @@
 // Harness integration tests: CLI parsing, multi-threaded runs under every
-// strategy followed by full invariant checks, and report formatting.
+// strategy followed by full invariant checks, reclamation across back-to-back
+// runs, and report formatting.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "src/core/invariants.h"
+#include "src/ebr/ebr.h"
 #include "src/harness/cli.h"
 #include "src/harness/report.h"
 
@@ -255,6 +257,38 @@ TEST(IntegrationTest2, MaxOpsCapIsRespected) {
   const BenchResult result = runner.Run();
   EXPECT_LE(result.total_started, 100 + config.threads);  // fetch_add slack
   EXPECT_GE(result.total_started, 100);
+}
+
+// --- reclamation across runs ---
+
+// Two runs back to back in one process, as sb7-bench runs its cells. The
+// thread that builds the structure and then waits in Run() must not hold
+// back the EBR epoch, in the first run or in any later one: a pinned epoch
+// frees nothing, so every worker quiesce rescans a limbo list that grows.
+TEST(ReclamationTest, BackToBackRunsKeepReclaiming) {
+  // Run() ends with its workers gone and its caller offline, so its last
+  // reclamation passes free what the run retired. A pinned epoch leaves
+  // everything retired since the pin (about 9k objects in a run this size).
+  constexpr int64_t kPendingBound = 64;
+  for (int run = 0; run < 2; ++run) {
+    BenchConfig config;
+    config.strategy = "mvstm";
+    config.scale = "tiny";
+    config.threads = 4;
+    config.workload = WorkloadType::kReadWrite;
+    config.long_traversals = false;
+    config.length_seconds = 3600.0;
+    config.max_operations = 6000;
+    config.seed = 901 + run;
+    BenchmarkRunner runner(config);
+    // A healthy run advances hundreds of times; a pinned one at most twice.
+    const uint64_t epoch_before = EbrDomain::Global().global_epoch();
+    const BenchResult result = runner.Run();
+    EXPECT_GE(result.total_started, 6000);
+    EXPECT_GE(EbrDomain::Global().global_epoch() - epoch_before, 20u) << "run " << run;
+    EXPECT_LT(EbrDomain::Global().PendingCount(), kPendingBound) << "run " << run;
+    EXPECT_TRUE(CheckInvariants(runner.data()).ok()) << "run " << run;
+  }
 }
 
 // --- report formatting ---

@@ -11,11 +11,14 @@
 //    accounting, close-then-drain semantics,
 //  - OpServer protocol behaviour over real loopback TCP: handshake,
 //    queue-full rejection, out-of-range op bounce, oversize-frame drop,
+//    TCP_NODELAY on accepted sessions,
 //  - an end-to-end loopback run: BenchmarkRunner in ingress mode fed by the
 //    load client, with nothing lost or malformed.
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -434,6 +437,59 @@ TEST(OpServerTest, HandshakesRejectsWhenFullAndBouncesBadIndexes) {
   EXPECT_EQ(response.status, Status::kOk);
   EXPECT_EQ(response.server_nanos, 123u);
 
+  server.Stop();
+}
+
+// Both ends of a loopback connection live in this process: the server's
+// accepted socket is the fd whose address pair mirrors the client's.
+int FindAcceptedEnd(int client_fd) {
+  sockaddr_in client_local{};
+  sockaddr_in client_peer{};
+  socklen_t len = sizeof(client_local);
+  if (::getsockname(client_fd, reinterpret_cast<sockaddr*>(&client_local), &len) != 0) {
+    return -1;
+  }
+  len = sizeof(client_peer);
+  if (::getpeername(client_fd, reinterpret_cast<sockaddr*>(&client_peer), &len) != 0) {
+    return -1;
+  }
+  for (int fd = 0; fd < 1024; ++fd) {
+    sockaddr_in local{};
+    sockaddr_in peer{};
+    len = sizeof(local);
+    if (fd == client_fd ||
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &len) != 0 ||
+        local.sin_family != AF_INET) {
+      continue;
+    }
+    len = sizeof(peer);
+    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) == 0 &&
+        local.sin_port == client_peer.sin_port && peer.sin_port == client_local.sin_port) {
+      return fd;
+    }
+  }
+  return -1;
+}
+
+TEST(OpServerTest, AcceptedSessionsSetTcpNoDelay) {
+  IngressQueue queue(8);
+  OpServer server(ServerOptions{}, &queue, /*op_count=*/10);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  HelloAck ack;
+  net::ConnectResult conn = HandshakeClient(server.port(), &ack);
+  ASSERT_TRUE(conn.ok()) << conn.error;
+  // The ack came back, so the server has accepted and configured the
+  // session: Nagle must be off on both ends of a request/response stream.
+  const int accepted = FindAcceptedEnd(conn.fd.get());
+  ASSERT_GE(accepted, 0);
+  for (const int fd : {conn.fd.get(), accepted}) {
+    int nodelay = 0;
+    socklen_t len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+    EXPECT_NE(nodelay, 0) << "fd " << fd;
+  }
   server.Stop();
 }
 

@@ -20,6 +20,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "src/common/histogram.h"
+#include "src/ebr/ebr.h"
 #include "src/harness/driver.h"
 #include "src/perf/json.h"
 #include "src/telemetry/telemetry.h"
@@ -697,6 +699,59 @@ TEST(TelemetryEndToEndTest, DriverRunProducesAValidSeries) {
   runner.telemetry()->WriteJsonl(out);
   std::istringstream in(out.str());
   EXPECT_EQ(telemetry::ValidateTelemetryJsonl(in), "");
+}
+
+double Gauge(const MetricsRegistry& registry, const std::string& name) {
+  for (const telemetry::MetricPoint& point : registry.Collect()) {
+    if (point.name == name) {
+      return point.value;
+    }
+  }
+  ADD_FAILURE() << name << " is not registered";
+  return 0.0;
+}
+
+TEST(TelemetryEndToEndTest, EbrGaugesNameAStalledSlot) {
+  BenchConfig config;
+  config.strategy = "tl2";
+  config.scale = "tiny";
+  config.threads = 2;
+  config.length_seconds = 0.2;
+  config.telemetry = true;
+  config.telemetry_hw = false;
+  BenchmarkRunner runner(config);
+  runner.Run();
+  ASSERT_NE(runner.telemetry(), nullptr);
+  const MetricsRegistry& registry = runner.telemetry()->registry();
+  EbrDomain& ebr = EbrDomain::Global();
+  EXPECT_EQ(Gauge(registry, "sb7_ebr_epoch"), static_cast<double>(ebr.global_epoch()));
+  EXPECT_EQ(Gauge(registry, "sb7_ebr_pending"), static_cast<double>(ebr.PendingCount()));
+  EXPECT_EQ(Gauge(registry, "sb7_ebr_laggard_slot"), -1.0);  // nobody online after a run
+
+  // A thread that comes online and stops quiescing holds the epoch back;
+  // one scrape names its slot while the epoch stands still.
+  std::atomic<bool> online{false};
+  std::atomic<bool> release{false};
+  std::thread stuck([&] {
+    ebr.Quiesce();
+    online = true;
+    while (!release.load()) {
+      std::this_thread::yield();
+    }
+  });
+  while (!online.load()) {
+    std::this_thread::yield();
+  }
+  for (int i = 0; i < 4; ++i) {
+    ebr.TryReclaim();
+  }
+  const double epoch = Gauge(registry, "sb7_ebr_epoch");
+  EXPECT_GE(Gauge(registry, "sb7_ebr_laggard_slot"), 0.0);
+  ebr.TryReclaim();
+  EXPECT_EQ(Gauge(registry, "sb7_ebr_epoch"), epoch);
+  release = true;
+  stuck.join();
+  EXPECT_EQ(Gauge(registry, "sb7_ebr_laggard_slot"), -1.0);
 }
 
 }  // namespace
