@@ -122,7 +122,8 @@ struct BenchConfig {
   // and drained, or at the usual wall-clock deadline.
   net::IngressQueue* ingress = nullptr;
   // Invoked once per drained ingress request with its outcome and the
-  // server-side execute latency; the serve front-end writes the response
+  // server-side latency (under a `group` redo log it runs to the fsync that
+  // made the request durable); the serve front-end writes the response
   // frame here. Called from worker threads — must be thread-safe.
   std::function<void(const net::IngressRequest&, net::Status, int64_t)>
       on_ingress_complete;
@@ -199,6 +200,13 @@ class BenchmarkRunner {
   struct PaceState {
     int64_t next_arrival_nanos = -1;  // -1 until the worker enters the phase
     int64_t arrival_count = 0;
+  };
+
+  // A served request whose response waits for its batch's fsync.
+  struct ExecutedRequest {
+    net::IngressRequest request;
+    net::Status status = net::Status::kOk;
+    int64_t begin = 0;  // NowNanos() at the start of its execution
   };
 
   void WorkerLoop(int worker_index, Rng rng,

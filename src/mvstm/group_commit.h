@@ -25,7 +25,9 @@
 //                 read-write conflicts a shared write version cannot order
 //                 are evicted from the group, never committed.
 //   4. append   — the leader writes one checksummed group record for the
-//                 members that validated and fsyncs per the log's policy.
+//                 members that validated and fsyncs per the log's policy
+//                 (under deferred sync the fsync comes later, from
+//                 RedoLogWriter::SyncTo before anything is acknowledged).
 //   5. publish  — only after the append do members publish their version
 //                 chain nodes at the shared write version and release their
 //                 stripes (write-ahead rule: nothing becomes visible that

@@ -341,8 +341,7 @@ RedoLogWriter::RedoLogWriter(std::string path, Durability durability)
   }
   fd_ = ::open(path_.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
   if (fd_ < 0) {
-    ok_ = false;
-    error_ = "cannot open redo log '" + path_ + "'";
+    Fail("cannot open redo log '" + path_ + "'");
   }
 }
 
@@ -362,8 +361,7 @@ void RedoLogWriter::WriteRaw(const char* data, size_t len) {
   while (written < len) {
     const ssize_t n = ::write(fd_, data + written, len - written);
     if (n < 0) {
-      ok_ = false;
-      error_ = "write to redo log '" + path_ + "' failed";
+      Fail("write to redo log '" + path_ + "' failed");
       return;
     }
     written += static_cast<size_t>(n);
@@ -375,11 +373,56 @@ void RedoLogWriter::Fsync() {
     return;
   }
   if (::fsync(fd_) != 0) {
-    ok_ = false;
-    error_ = "fsync of redo log '" + path_ + "' failed";
+    Fail("fsync of redo log '" + path_ + "' failed");
     return;
   }
   ++stats_.fsyncs;
+}
+
+void RedoLogWriter::Fail(std::string error) {
+  std::lock_guard<std::mutex> lock(error_mutex_);
+  if (error_.empty()) {
+    error_ = std::move(error);
+  }
+  // mo: release — pairs with ok()'s acquire: error_ is set first.
+  ok_.store(false, std::memory_order_release);
+}
+
+std::string RedoLogWriter::error() const {
+  std::lock_guard<std::mutex> lock(error_mutex_);
+  return error_;
+}
+
+uint64_t RedoLogWriter::appended_groups() const {
+  // mo: acquire — pairs with AppendGroup's release.
+  return appended_.load(std::memory_order_acquire);
+}
+
+uint64_t RedoLogWriter::durable_groups() const {
+  // mo: acquire — pairs with SyncTo's release after the fsync.
+  return durable_.load(std::memory_order_acquire);
+}
+
+void RedoLogWriter::SyncTo(uint64_t groups) {
+  if (durable_groups() >= groups) {
+    return;
+  }
+  std::lock_guard<std::mutex> lock(sync_mutex_);
+  // mo: relaxed — durable_ is stored under sync_mutex_ only.
+  if (durable_.load(std::memory_order_relaxed) >= groups) {
+    return;  // the fsync we waited behind covered it
+  }
+  // mo: acquire — pairs with AppendGroup's release, so the fsync below
+  // covers every write counted in `target` (at least `groups`).
+  const uint64_t target = appended_.load(std::memory_order_acquire);
+  // A failed writer cannot sync; it lets acknowledgements through as an
+  // inline-sync writer would, since its appends stopped anyway.
+  if (ok()) {
+    Fsync();
+  }
+  // mo: release — the fsync happens-before anything that reads the new
+  // value in durable_groups().
+  durable_.store(target, std::memory_order_release);
 }
 
 void RedoLogWriter::Fire() {
@@ -394,7 +437,7 @@ void RedoLogWriter::Fire() {
 
 void RedoLogWriter::WriteFileHeader(uint64_t seed, const std::string& scale,
                                     const std::string& backend) {
-  if (dead_ || !ok_) {
+  if (dead_ || !ok()) {
     return;
   }
   FileHeaderRecord header;
@@ -411,7 +454,7 @@ void RedoLogWriter::WriteFileHeader(uint64_t seed, const std::string& scale,
 }
 
 void RedoLogWriter::AppendGroup(const GroupRecord& group) {
-  if (dead_ || !ok_) {
+  if (dead_ || !ok()) {
     return;
   }
   std::string frame;
@@ -436,13 +479,17 @@ void RedoLogWriter::AppendGroup(const GroupRecord& group) {
     Fire();  // the append is in the page cache but was never fsynced
     return;
   }
-  if (durability_ != Durability::kOff) {
+  // mo: release — pairs with appended_groups() and SyncTo: the write above
+  // happens-before any fsync that counts this group.
+  appended_.fetch_add(1, std::memory_order_release);
+  if (durability_ == Durability::kAlways ||
+      (durability_ == Durability::kGroup && !deferred_sync_)) {
     Fsync();
   }
 }
 
 void RedoLogWriter::Close() {
-  if (dead_ || !ok_ || closed_) {
+  if (dead_ || !ok() || closed_) {
     return;
   }
   CloseRecord close;

@@ -31,8 +31,10 @@
 #ifndef STMBENCH7_SRC_MVSTM_REDO_LOG_H_
 #define STMBENCH7_SRC_MVSTM_REDO_LOG_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -167,8 +169,9 @@ struct WriterStats {
 };
 
 // Append-side of the log. All appends come from the group-commit leader
-// while it holds the leader slot, so the writer needs no internal locking;
-// WriteFileHeader precedes the workers and Close follows their join.
+// while it holds the leader slot, so appends need no internal locking;
+// WriteFileHeader precedes the workers and Close follows their join. The
+// one concurrent caller is the syncing thread of deferred sync.
 class RedoLogWriter {
  public:
   // File-backed when `path` is non-empty (created/truncated); in-memory
@@ -178,8 +181,24 @@ class RedoLogWriter {
   RedoLogWriter(const RedoLogWriter&) = delete;
   RedoLogWriter& operator=(const RedoLogWriter&) = delete;
 
-  bool ok() const { return ok_; }
-  const std::string& error() const { return error_; }
+  // mo: acquire — pairs with Fail's release, so error() is set once this
+  // reads false.
+  bool ok() const { return ok_.load(std::memory_order_acquire); }
+  std::string error() const;
+
+  // Deferred sync (docs/DURABILITY.md): under kGroup, an append only
+  // writes, and SyncTo fsyncs. Whoever acknowledges commits must first make
+  // them durable with SyncTo. Set before the workers start; not for use
+  // with a crash point.
+  void SetDeferredSync(bool deferred) { deferred_sync_ = deferred; }
+  bool deferred_sync() const { return deferred_sync_; }
+  // Groups appended, and groups known durable; both only grow.
+  uint64_t appended_groups() const;
+  uint64_t durable_groups() const;
+  // Returns once the first `groups` groups are durable, fsyncing unless a
+  // sync that covered them already ran. Thread-safe; concurrent callers
+  // share one fsync.
+  void SyncTo(uint64_t groups);
 
   void SetCrashConfig(CrashConfig crash) { crash_ = std::move(crash); }
 
@@ -202,15 +221,23 @@ class RedoLogWriter {
   void WriteRaw(const char* data, size_t len);
   void Fsync();
   void Fire();
+  void Fail(std::string error);
 
   std::string path_;
   Durability durability_;
   int fd_ = -1;
   std::string memory_;
-  bool ok_ = true;
+  std::atomic<bool> ok_{true};
+  mutable std::mutex error_mutex_;
   std::string error_;
   bool dead_ = false;
   bool closed_ = false;
+  bool deferred_sync_ = false;
+  std::mutex sync_mutex_;  // one SyncTo fsync at a time
+  // mo: appended_ is released by the leader after each write; durable_ is
+  // released by SyncTo after each fsync.
+  std::atomic<uint64_t> appended_{0};
+  std::atomic<uint64_t> durable_{0};
   CrashConfig crash_;
   WriterStats stats_;
 };

@@ -27,6 +27,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -751,5 +753,150 @@ TEST(LiveVsReplayTest, TornTailOfARealLogRecoversThePrefix) {
   EXPECT_EQ(boundary.summary.groups, groups_total);
 }
 
+
+// ----------------------------------------------------------- deferred sync --
+
+GroupRecord OneMemberGroup(uint64_t seq) {
+  GroupRecord group;
+  group.group_seq = seq;
+  group.commit_ts = seq + 1;
+  group.members = {MakeMember(1, seq + 1)};
+  return group;
+}
+
+// Deferred sync: an append only writes; SyncTo fsyncs once for everything
+// appended so far, and not at all when an earlier sync already covered it.
+TEST(DeferredSyncTest, AppendsWaitForSyncToAndSyncsAreShared) {
+  const std::string path = ScratchLog("deferred");
+  RedoLogWriter writer(path, Durability::kGroup);
+  writer.SetDeferredSync(true);
+  writer.WriteFileHeader(5, "tiny", "mvstm");
+  const uint64_t header_fsyncs = writer.stats().fsyncs;
+
+  writer.AppendGroup(OneMemberGroup(0));
+  writer.AppendGroup(OneMemberGroup(1));
+  EXPECT_EQ(writer.appended_groups(), 2u);
+  EXPECT_EQ(writer.durable_groups(), 0u);
+  EXPECT_EQ(writer.stats().fsyncs, header_fsyncs);  // appends did not sync
+
+  writer.SyncTo(1);  // syncs everything appended, not just the first group
+  EXPECT_EQ(writer.durable_groups(), 2u);
+  EXPECT_EQ(writer.stats().fsyncs, header_fsyncs + 1);
+  writer.SyncTo(2);  // already durable: no fsync
+  EXPECT_EQ(writer.stats().fsyncs, header_fsyncs + 1);
+
+  writer.AppendGroup(OneMemberGroup(2));
+  writer.SyncTo(writer.appended_groups());
+  EXPECT_EQ(writer.durable_groups(), 3u);
+  EXPECT_EQ(writer.stats().fsyncs, header_fsyncs + 2);
+  writer.Close();
+  const ReplayResult replay = RecoverFromLog(path, "mvstm");
+  EXPECT_TRUE(replay.summary.clean_close);
+  EXPECT_EQ(replay.summary.groups, 3u);
+  ::unlink(path.c_str());
+}
+
+// Two threads appending (serialized, as the group-commit leader slot
+// serializes appends) and syncing concurrently: every SyncTo returns with its
+// groups durable, and no fsync runs without a new group to cover.
+TEST(DeferredSyncTest, ConcurrentSyncersAreDurableOnReturn) {
+  const std::string path = ScratchLog("deferred2");
+  RedoLogWriter writer(path, Durability::kGroup);
+  writer.SetDeferredSync(true);
+  writer.WriteFileHeader(5, "tiny", "mvstm");
+  const uint64_t header_fsyncs = writer.stats().fsyncs;
+  constexpr uint64_t kPerThread = 300;
+
+  std::mutex leader;
+  uint64_t next_seq = 0;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&]() {
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        {
+          std::lock_guard<std::mutex> lock(leader);
+          writer.AppendGroup(OneMemberGroup(next_seq++));
+        }
+        const uint64_t mine = writer.appended_groups();
+        writer.SyncTo(mine);
+        EXPECT_GE(writer.durable_groups(), mine);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(writer.durable_groups(), 2 * kPerThread);
+  EXPECT_LE(writer.stats().fsyncs - header_fsyncs, 2 * kPerThread);
+  writer.Close();
+  const ReplayResult replay = RecoverFromLog(path, "mvstm");
+  EXPECT_TRUE(replay.summary.clean_close);
+  EXPECT_EQ(replay.summary.groups, 2 * kPerThread);
+  ::unlink(path.c_str());
+}
+
+// A clean serve run under group commit: every request is answered once, an
+// update is answered only once the log holds it durably, and the log
+// replays to the live world. Workers fsync once per batch, not per group.
+TEST(DeferredSyncTest, ServeRunAnswersOnlyDurableUpdatesAndReplays) {
+  const std::string path = ScratchLog("serveclean");
+  net::IngressQueue ingress(4096);
+  BenchConfig config = WriteStormConfig(path, 808);
+  config.threads = 2;
+  config.ingress = &ingress;
+  BenchmarkRunner* runner_ptr = nullptr;
+  std::mutex mutex;
+  std::map<uint64_t, net::Status> answers;
+  std::map<uint64_t, uint64_t> durable_at_answer;  // request id -> durable groups
+  config.on_ingress_complete = [&](const net::IngressRequest& request, net::Status status,
+                                   int64_t) {
+    const uint64_t durable = runner_ptr->redo_writer()->durable_groups();
+    std::lock_guard<std::mutex> lock(mutex);
+    EXPECT_TRUE(answers.emplace(request.request_id, status).second) << "answered twice";
+    durable_at_answer[request.request_id] = durable;
+  };
+  BenchmarkRunner runner(config);
+  runner_ptr = &runner;
+  ASSERT_TRUE(runner.redo_writer()->deferred_sync());
+  constexpr uint64_t kRequests = 1500;
+  const uint16_t op_count = static_cast<uint16_t>(runner.registry().all().size());
+  for (uint64_t id = 1; id <= kRequests; ++id) {
+    net::IngressRequest request;
+    request.request_id = id;
+    request.op_index = static_cast<uint16_t>(id % op_count);
+    ASSERT_TRUE(ingress.TryPush(request));
+  }
+  ingress.Close();
+  runner.Run();
+  ASSERT_EQ(answers.size(), kRequests);
+  ASSERT_TRUE(runner.redo_writer()->ok()) << runner.redo_writer()->error();
+  EXPECT_TRUE(runner.redo_writer()->closed());
+
+  std::string bytes;
+  std::string error;
+  ASSERT_TRUE(redo::ReadLogFile(path, &bytes, &error)) << error;
+  std::vector<GroupRecord> groups;
+  RecoverySummary summary;
+  ScanLog(bytes, &groups, &summary);
+  EXPECT_TRUE(summary.clean_close) << summary.detail;
+  ASSERT_GT(groups.size(), 0u);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (const MemberRecord& member : groups[g].members) {
+      const uint64_t tag = member.client_tag;
+      ASSERT_EQ(answers.count(tag), 1u) << "logged request " << tag << " never answered";
+      EXPECT_EQ(answers[tag], net::Status::kOk);
+      // Group g is the (g+1)-th appended: durable by the time of the answer.
+      EXPECT_GT(durable_at_answer[tag], g) << "request " << tag << " answered before durable";
+    }
+  }
+  // Batches of up to 16 requests share an fsync.
+  const redo::WriterStats& stats = runner.redo_writer()->stats();
+  EXPECT_LT(stats.fsyncs, stats.groups);
+
+  const ReplayResult replay = RecoverFromLog(path, "mvstm");
+  EXPECT_TRUE(replay.ok) << replay.error;
+  EXPECT_EQ(replay.fingerprint, QuiescedFingerprint(runner));
+  ::unlink(path.c_str());
+}
 }  // namespace
 }  // namespace sb7
