@@ -61,6 +61,11 @@ class SkipListIndex : public Index<K, V> {
     }
     const int height = HeightFor(key);
     auto* fresh = new Node(key, value, height);
+    // Registered before the transactional accesses below, any of which may
+    // abort the attempt.
+    if (Transaction* tx = CurrentTx()) {
+      tx->OnAbort([fresh] { delete fresh; });
+    }
     for (int level = 0; level < height; ++level) {
       // raw-ok: the new node is thread-private until the predecessor links
       // below are written, so its own links are seeded directly.
@@ -69,9 +74,6 @@ class SkipListIndex : public Index<K, V> {
     }
     for (int level = 0; level < height; ++level) {
       preds[level]->next[level].Set(fresh);
-    }
-    if (Transaction* tx = CurrentTx()) {
-      tx->OnAbort([fresh] { delete fresh; });
     }
     return true;
   }

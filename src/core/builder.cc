@@ -20,6 +20,8 @@ void AfterCommit(Fn&& fn) {
   }
 }
 
+// Frees `obj` if the enclosing transaction aborts. Call it right after the
+// allocation, before any transactional access that may abort the attempt.
 void RetireOnAbort(TmObject* obj) {
   if (Transaction* tx = CurrentTx()) {
     tx->OnAbort([obj] { delete obj; });
@@ -45,6 +47,15 @@ CompositePart* CreateCompositePart(DataHolder& dh, Rng& rng) {
   auto* document = new Document(part_id, DataHolder::DocumentTitleFor(part_id),
                                 BuildDocumentText(part_id, params.document_size));
   auto* part = new CompositePart(part_id, RandomDate(params, rng), document);
+
+  // If the enclosing transaction aborts, the private graph never became
+  // shared and is freed outright. Registered before the first transactional
+  // access below, any of which may abort the attempt; the walk still finds
+  // every part and connection allocated later, since the graph's own links
+  // are plain (non-transactional) members.
+  if (Transaction* tx = CurrentTx()) {
+    tx->OnAbort([part] { RetireCompositePartDeep(part); });
+  }
   document->set_part(part);
 
   // Private graph construction: parts and connections are wired directly and
@@ -83,12 +94,6 @@ CompositePart* CreateCompositePart(DataHolder& dh, Rng& rng) {
   for (AtomicPart* atom : atoms) {
     dh.atomic_part_id_index().Insert(atom->id(), atom);
     dh.atomic_part_date_index().Insert(MakeDateKey(atom->build_date(), atom->id()), atom);
-  }
-
-  // If the enclosing transaction aborts, the private graph never became
-  // shared and is freed outright.
-  if (Transaction* tx = CurrentTx()) {
-    tx->OnAbort([part] { RetireCompositePartDeep(part); });
   }
   return part;
 }
@@ -133,9 +138,9 @@ BaseAssembly* CreateBaseAssembly(DataHolder& dh, ComplexAssembly* parent, Rng& r
   const int64_t id = dh.base_assembly_ids().Allocate();
   SB7_CHECK(id != 0);
   auto* assembly = new BaseAssembly(id, RandomDate(dh.params(), rng), parent, parent->module());
+  RetireOnAbort(assembly);
   parent->sub_assemblies().Add(assembly);
   dh.base_assembly_id_index().Insert(id, assembly);
-  RetireOnAbort(assembly);
   return assembly;
 }
 
@@ -181,9 +186,9 @@ Assembly* CreateAssemblySubtree(DataHolder& dh, ComplexAssembly* parent, int roo
   SB7_CHECK(id != 0);
   auto* assembly =
       new ComplexAssembly(id, RandomDate(dh.params(), rng), root_level, parent, parent->module());
+  RetireOnAbort(assembly);
   parent->sub_assemblies().Add(assembly);
   dh.complex_assembly_id_index().Insert(id, assembly);
-  RetireOnAbort(assembly);
   for (int i = 0; i < dh.params().assembly_fanout; ++i) {
     CreateAssemblySubtree(dh, assembly, root_level - 1, rng);
   }

@@ -223,6 +223,7 @@ struct StmCells {
   McCell x, y;
   std::unique_ptr<HistoryRecorder> recorder;
   int64_t r1 = 0, r2 = 0;
+  bool torn = false;  // a body saw x != y (torn-pair litmus)
 };
 
 // Opacity gate shared by every STM litmus: each explored schedule's history
@@ -242,6 +243,7 @@ void StmSetup(const std::shared_ptr<StmCells>& cells) {
   cells->x.value.Set(0);
   cells->y.value.Set(0);
   cells->r1 = cells->r2 = 0;
+  cells->torn = false;
   cells->recorder = std::make_unique<HistoryRecorder>();
   cells->recorder->Install();
 }
@@ -349,7 +351,7 @@ Litmus MakeStmWriteSkew(std::string_view backend) {
   litmus.expect_violation = false;
   // The skew needs one early preemption: both transactions read before
   // either commits.
-  litmus.smoke_switch_bound = 1;
+  litmus.switch_bound = 1;
   litmus.setup = [cells] { StmSetup(cells); };
   // Each body reads both cells and writes only its own: the disjoint write
   // sets give no write-write conflict, so only read validation keeps a
@@ -376,6 +378,69 @@ Litmus MakeStmWriteSkew(std::string_view backend) {
       return out.str();
     }
     return std::string();
+  };
+  return litmus;
+}
+
+Litmus MakeStmTornPair(std::string_view backend) {
+  auto cells = std::make_shared<StmCells>(backend);
+  std::shared_ptr<Stm> first_writer = MakeStm(backend);
+  Litmus litmus;
+  litmus.name = "torn-pair-" + std::string(backend);
+  litmus.summary = "a reader's body never sees x != y while commits keep them equal";
+  litmus.expect_violation = false;
+  // The tear needs two commits after the reader began: one before its read
+  // of x, one inside that read's window. Run on a second thread, the first
+  // costs two early preemptions on top of the second's one, past what DFS
+  // reaches in its budget. So the reader's first attempt makes the first
+  // commit itself, through a second handle of the same backend: that pins
+  // it after the reader's begin for free, and the writer thread's commit
+  // needs one preemption. The history recorder keeps one open attempt per
+  // thread, so the nested commit drops the reader's first attempt from the
+  // opacity history; the in-body check is what covers that attempt.
+  litmus.switch_bound = 1;
+  litmus.setup = [cells] { StmSetup(cells); };
+  litmus.bodies = {
+      // Reader, without the read-only hint: the update-mode read path is the
+      // one that validates (and, in tinystm, extends) per read. The check
+      // runs inside the body, where opacity must already hold.
+      [cells, first_writer] {
+        bool first_attempt = true;
+        cells->stm->RunAtomically([&](Transaction&) {
+          if (first_attempt) {
+            first_attempt = false;
+            Transaction* reader = CurrentTx();
+            first_writer->RunAtomically([&](Transaction&) {
+              cells->x.value.Set(1);
+              cells->y.value.Set(1);
+            });
+            SetCurrentTx(reader);
+          }
+          const int64_t x = cells->x.value.Get();
+          const int64_t y = cells->y.value.Get();
+          if (x != y && !cells->torn) {
+            cells->torn = true;
+            cells->r1 = x;
+            cells->r2 = y;
+          }
+        });
+      },
+      [cells] {
+        cells->stm->RunAtomically([&](Transaction&) {
+          cells->x.value.Set(2);
+          cells->y.value.Set(2);
+        });
+      },
+  };
+  litmus.check = [cells]() -> std::string {
+    if (cells->torn) {
+      cells->recorder->Uninstall();
+      cells->recorder.reset();
+      std::ostringstream out;
+      out << "torn pair inside a transaction: x == " << cells->r1 << ", y == " << cells->r2;
+      return out.str();
+    }
+    return OpacityFailure(*cells);
   };
   return litmus;
 }
@@ -528,6 +593,7 @@ std::vector<Litmus> BuildAll() {
     all.push_back(MakeStmSnapshot(backend));
     all.push_back(MakeStmIncrementPair(backend));
     all.push_back(MakeStmWriteSkew(backend));
+    all.push_back(MakeStmTornPair(backend));
   }
   all.push_back(MakeGroupCommitPair());
   all.push_back(MakeGroupCommitSnapshot());

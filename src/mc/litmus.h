@@ -49,10 +49,12 @@ struct Litmus {
   bool expect_violation = false;
   /// Part of the smoke tier (fast, bounded exploration in CI's mc_smoke).
   bool smoke = true;
-  /// Preemption bound in the smoke tier; -1 = unbounded. Unbounded DFS
-  /// spends the smoke budget on preemptions late in the schedule, so a
-  /// litmus whose failure needs an early one sets a small bound.
-  int smoke_switch_bound = -1;
+  /// Preemption bound in the smoke and default tiers (`--full` and
+  /// `--switch-bound` override it); -1 = unbounded. Unbounded DFS spends its
+  /// budget on preemptions late in the schedule, so a litmus whose failure
+  /// needs an early one sets the bound that failure needs, which makes the
+  /// exploration exhaustive over it.
+  int switch_bound = -1;
 
   /// Runs on the control thread before each execution: resets cell values,
   /// installs per-execution observers. The control thread is unregistered,

@@ -27,7 +27,8 @@ std::string UsageText() {
   --litmus <name>        explore one litmus (repeatable); default: all
   --smoke                restrict to the smoke tier with tight bounds
                          (CI's mc_smoke label; <60s on one core)
-  --full                 lift the default bounds for a nightly-depth run
+  --full                 lift the default bounds (and each litmus's own
+                         preemption bound) for a nightly-depth run
   --max-schedules <n>    execution budget per litmus
   --max-steps <n>        recorded steps per execution (then free-runs)
   --switch-bound <n>     max preemptions per schedule; -1 = unbounded
@@ -233,8 +234,8 @@ int main(int argc, char** argv) {
   int mismatches = 0;
   for (const sb7::mc::Litmus* litmus : selected) {
     sb7::mc::ExploreOptions explore = options.explore;
-    if (options.smoke && !options.switch_bound_given) {
-      explore.switch_bound = litmus->smoke_switch_bound;
+    if (!options.full && !options.switch_bound_given) {
+      explore.switch_bound = litmus->switch_bound;
     }
     const sb7::mc::ExploreResult result = sb7::mc::Explore(*litmus, explore);
     const bool found = result.failures > 0;

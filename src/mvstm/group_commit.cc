@@ -43,7 +43,7 @@ void GroupCommitSequencer::ValidateMember(Enrollee* node, const Group& group) {
   // The TL2 validation skip is sound only when no other commit can have
   // interleaved between this transaction's reads and the group's write
   // version. A multi-member group is itself that interleaving.
-  const bool ok = (group.size == 1 && group.wv == tx.start_ts_ + 1)
+  const bool ok = (group.size == 1 && group.wv == tx.rv_ + 1)
                       ? true
                       : tx.ValidateReadSet();
   // mo: release — the leader's acquire load of the outcome must also see any

@@ -1,17 +1,12 @@
 #include "src/mvstm/mvstm.h"
 
-#include <algorithm>
-
-#include "src/common/diag.h"
 #include "src/ebr/ebr.h"
 #include "src/mvstm/group_commit.h"
 #include "src/mvstm/version_chain.h"
 
 namespace sb7 {
 
-std::unique_ptr<TxImplBase> MvStm::CreateTx() {
-  return std::make_unique<MvTx>(stats(), sequencer_);
-}
+std::unique_ptr<TxImplBase> MvStm::CreateTx() { return std::make_unique<MvTx>(sequencer_); }
 
 void MvTx::SetReadOnly(bool read_only) {
   // Called once per RunAtomically execution, before the first attempt.
@@ -25,196 +20,56 @@ void MvTx::BeginAttempt() {
     // Passing through a quiescent state here (a) lazily registers the thread
     // with the EBR domain and (b) is the last quiescence until the
     // transaction ends, so every version node retired from now on survives
-    // until this snapshot read is over. Must precede the clock read: the
-    // grace-period argument in version_chain.h needs start_ts_ >= the commit
-    // timestamp of any node whose retirement we failed to observe.
+    // until this snapshot read is over. Must precede the clock read in
+    // Tl2Tx::BeginAttempt: the grace-period argument in version_chain.h
+    // needs the snapshot timestamp >= the commit timestamp of any node whose
+    // retirement we failed to observe.
     EbrDomain::Global().Quiesce();
   }
-  start_ts_ = LockTable::ClockNow();
-  read_set_.clear();
-  write_log_.clear();
-  write_index_.clear();
-  acquired_.clear();
-  local_reads_ = local_writes_ = local_validation_steps_ = 0;
-}
-
-void MvTx::FlushLocalStats() {
-  // mo: relaxed — StmStats tallies; read only after workers are joined.
-  stats_.reads.fetch_add(local_reads_, std::memory_order_relaxed);
-  stats_.writes.fetch_add(local_writes_, std::memory_order_relaxed);
-  stats_.validation_steps.fetch_add(local_validation_steps_, std::memory_order_relaxed);
+  Tl2Tx::BeginAttempt();
 }
 
 uint64_t MvTx::Read(const TxFieldBase& field) {
-  ++local_reads_;
   if (read_only_) {
-    return VersionChain::ReadAtSnapshot(field, start_ts_);
+    ++counters_.reads;
+    return VersionChain::ReadAtSnapshot(field, rv_);
   }
-  if (!write_index_.empty()) {
-    auto it = write_index_.find(&field);
-    if (it != write_index_.end()) {
-      return write_log_[it->second].value;
-    }
-  }
-  const sp::AtomicU64& stripe = LockTable::Global().StripeOf(field);
-  // mo: acquire (all three) — seqlock-style bracket around the data read;
-  // pairs with committers' release of the stripe (see Tl2Tx::Read).
-  const uint64_t pre = stripe.load(std::memory_order_acquire);
-  const uint64_t value = field.LoadRaw(std::memory_order_acquire);
-  const uint64_t post = stripe.load(std::memory_order_acquire);
-  if (LockTable::IsLocked(pre) || pre != post || LockTable::VersionOf(pre) > start_ts_) {
-    SetTxAbortCause(AbortCause::kReadValidation, &stripe);
-    throw TxAborted{};
-  }
-  read_set_.push_back(&stripe);
-  return value;
+  return Tl2Tx::Read(field);
 }
 
 void MvTx::Write(TxFieldBase& field, uint64_t value) {
   if (read_only_) {
     // The read-only promise was wrong (a mislabeled operation). The snapshot
     // path recorded no read set, so the attempt cannot be upgraded in place;
-    // abort once and rerun every later attempt in update mode.
+    // abort once and rerun every later attempt in update mode. The write log
+    // stays empty, so TryCommit never has anything to publish in this mode.
     demoted_ = true;
     SetTxAbortCause(AbortCause::kSnapshotTooOld,
                     &LockTable::Global().StripeOf(field));
     throw TxAborted{};
   }
-  ++local_writes_;
-  auto [it, inserted] = write_index_.try_emplace(&field, write_log_.size());
-  if (inserted) {
-    write_log_.push_back(WriteEntry{&field, value});
-  } else {
-    write_log_[it->second].value = value;
-  }
+  Tl2Tx::Write(field, value);
 }
 
-bool MvTx::AcquireWriteStripes() {
-  // Sorted by address so concurrent committers collide cleanly (see Tl2Tx).
-  std::vector<sp::AtomicU64*> stripes;
-  stripes.reserve(write_log_.size());
-  for (const WriteEntry& entry : write_log_) {
-    stripes.push_back(&LockTable::Global().StripeOf(*entry.field));
+bool MvTx::TakeWriteVersion(uint64_t* wv) {
+  if (sequencer_ == nullptr) {
+    return Tl2Tx::TakeWriteVersion(wv);
   }
-  std::sort(stripes.begin(), stripes.end());
-  stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
-
-  acquired_.reserve(stripes.size());
-  for (sp::AtomicU64* stripe : stripes) {
-    // mo: acquire probe, acq_rel CAS — see Tl2Tx::AcquireWriteStripes.
-    uint64_t word = stripe->load(std::memory_order_acquire);
-    if (LockTable::IsLocked(word) ||
-        !stripe->compare_exchange_strong(word, LockTable::MakeLocked(this),
-                                         std::memory_order_acq_rel)) {
-      SetTxAbortCause(AbortCause::kWriteLock, stripe);
-      ReleaseAcquired(0, /*use_saved=*/true);
-      return false;
-    }
-    acquired_.push_back(AcquiredStripe{stripe, word});
-  }
-  return true;
+  // Group-commit path (group_commit.h): the group's leader takes the clock
+  // tick and drives the redo-log append; validation runs inside
+  // CommitThrough on this thread. On success the append (per the log's
+  // durability policy) has already happened, so publishing in WriteBack
+  // keeps the write-ahead rule: no version becomes visible that the log
+  // does not describe.
+  return sequencer_->CommitThrough(*this, wv);
 }
 
-void MvTx::ReleaseAcquired(uint64_t unlock_version, bool use_saved) {
-  for (const AcquiredStripe& held : acquired_) {
-    // mo: release — unlocking publishes the version-chain nodes and the
-    // in-place writeback this commit produced.
-    held.stripe->store(use_saved ? held.saved_word : LockTable::MakeVersion(unlock_version),
-                       std::memory_order_release);
-  }
-  acquired_.clear();
-}
-
-bool MvTx::ValidateReadSet() {
-  TxValidationScope validation;
-  validation.set_steps(read_set_.size());
-  local_validation_steps_ += static_cast<int64_t>(read_set_.size());
-  for (const sp::AtomicU64* stripe : read_set_) {
-    // mo: acquire — pairs with committers' release stores on the stripe.
-    const uint64_t word = stripe->load(std::memory_order_acquire);
-    uint64_t effective = word;
-    if (LockTable::IsLocked(word)) {
-      if (LockTable::OwnerOf(word) != this) {
-        SetTxAbortCause(AbortCause::kReadValidation, stripe);
-        return false;
-      }
-      // Locked by our own commit: validate against the pre-lock version (a
-      // rival may have committed between our read and our lock acquisition).
-      const auto it = std::lower_bound(
-          acquired_.begin(), acquired_.end(), stripe,
-          [](const AcquiredStripe& held, const sp::AtomicU64* key) {
-            return held.stripe < key;
-          });
-      SB7_DCHECK(it != acquired_.end() && it->stripe == stripe);
-      effective = it->saved_word;
-    }
-    if (LockTable::VersionOf(effective) > start_ts_) {
-      SetTxAbortCause(AbortCause::kReadValidation, stripe);
-      return false;
-    }
-  }
-  return true;
-}
-
-bool MvTx::TryCommit() {
-  if (read_only_ || write_log_.empty()) {
-    // Snapshot reads are consistent at start_ts_ by construction; update-mode
-    // reads were validated per read against start_ts_. Either way a
-    // write-free transaction serializes at its start point.
-    FlushLocalStats();
-    RunCommitHooks();
-    return true;
-  }
-  if (!AcquireWriteStripes()) {
-    FlushLocalStats();
-    RunAbortHooks();
-    return false;
-  }
-  if (sequencer_ != nullptr) {
-    // Group-commit path (group_commit.h): the group's leader takes the clock
-    // tick and drives the redo-log append; validation runs inside
-    // CommitThrough on this thread. On success the append (per the log's
-    // durability policy) has already happened, so publishing here keeps the
-    // write-ahead rule: no version becomes visible that the log does not
-    // describe.
-    uint64_t wv = 0;
-    if (!sequencer_->CommitThrough(*this, &wv)) {
-      ReleaseAcquired(0, /*use_saved=*/true);
-      FlushLocalStats();
-      RunAbortHooks();
-      return false;
-    }
-    for (const WriteEntry& entry : write_log_) {
-      VersionChain::Publish(*entry.field, entry.value, wv);
-    }
-    ReleaseAcquired(wv, /*use_saved=*/false);
-    FlushLocalStats();
-    RunCommitHooks();
-    return true;
-  }
-  const uint64_t wv = LockTable::ClockAdvance();
-  if (wv != start_ts_ + 1 && !ValidateReadSet()) {
-    ReleaseAcquired(0, /*use_saved=*/true);
-    FlushLocalStats();
-    RunAbortHooks();
-    return false;
-  }
-  // Past this point the commit cannot fail: publish the versions. Publishing
-  // before the stripes unlock is what lets a concurrent snapshot reader with
-  // start_ts >= wv proceed without waiting for the unlock.
+void MvTx::WriteBack(uint64_t wv) {
+  // Publishing before the stripes unlock is what lets a concurrent snapshot
+  // reader with start_ts >= wv proceed without waiting for the unlock.
   for (const WriteEntry& entry : write_log_) {
     VersionChain::Publish(*entry.field, entry.value, wv);
   }
-  ReleaseAcquired(wv, /*use_saved=*/false);
-  FlushLocalStats();
-  RunCommitHooks();
-  return true;
-}
-
-void MvTx::AbortSelf() {
-  SB7_DCHECK(acquired_.empty());
-  FlushLocalStats();
-  RunAbortHooks();
 }
 
 }  // namespace sb7

@@ -22,11 +22,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <vector>
 
-#include "src/stm/lock_table.h"
-#include "src/stm/stm.h"
+#include "src/stm/tl2.h"
 
 namespace sb7 {
 
@@ -53,61 +50,38 @@ class MvStm : public Stm {
   GroupCommitSequencer* sequencer_ = nullptr;
 };
 
-class MvTx : public TxImplBase {
+// The TL2 engine (src/stm/tl2.h) plus the snapshot read mode, version
+// publish at writeback, and the group-commit branch of the write-version
+// step. In update mode rv_ is the TL2 read version; in snapshot mode it is
+// the pinned snapshot timestamp.
+class MvTx : public Tl2Tx {
  public:
-  explicit MvTx(StmStats& stats, GroupCommitSequencer* sequencer = nullptr)
-      : stats_(stats), sequencer_(sequencer) {}
+  explicit MvTx(GroupCommitSequencer* sequencer = nullptr) : sequencer_(sequencer) {}
 
   void SetReadOnly(bool read_only) override;
   void BeginAttempt() override;
   uint64_t Read(const TxFieldBase& field) override;
   void Write(TxFieldBase& field, uint64_t value) override;
-  bool TryCommit() override;
-  void AbortSelf() override;
 
   // True while the current attempt serves reads from the pinned snapshot.
   bool snapshot_mode() const { return read_only_; }
-  uint64_t start_ts() const { return start_ts_; }
+  uint64_t start_ts() const { return rv_; }
+
+ protected:
+  bool TakeWriteVersion(uint64_t* wv) override;
+  void WriteBack(uint64_t wv) override;
 
  private:
   // The sequencer validates members on their own threads and needs the read
   // set, start timestamp and write log for that (group_commit.cc).
   friend class GroupCommitSequencer;
 
-  struct WriteEntry {
-    TxFieldBase* field;
-    uint64_t value;
-  };
-
-  bool AcquireWriteStripes();
-  void ReleaseAcquired(uint64_t unlock_version, bool use_saved);
-  bool ValidateReadSet();
-  void FlushLocalStats();
-
-  StmStats& stats_;
   GroupCommitSequencer* sequencer_;
 
   // Mode for the current RunAtomically execution.
   bool hint_read_only_ = false;
   bool demoted_ = false;     // body wrote under the read-only hint
   bool read_only_ = false;   // effective mode of the current attempt
-
-  // Snapshot timestamp (read-only mode) / TL2 read version (update mode).
-  uint64_t start_ts_ = 0;
-
-  std::vector<const sp::AtomicU64*> read_set_;
-  std::vector<WriteEntry> write_log_;
-  std::unordered_map<const TxFieldBase*, size_t> write_index_;
-
-  struct AcquiredStripe {
-    sp::AtomicU64* stripe;
-    uint64_t saved_word;  // pre-lock word, restored on failed commit
-  };
-  std::vector<AcquiredStripe> acquired_;
-
-  int64_t local_reads_ = 0;
-  int64_t local_writes_ = 0;
-  int64_t local_validation_steps_ = 0;
 };
 
 }  // namespace sb7

@@ -41,7 +41,7 @@ void VersionChain::Publish(TxFieldBase& field, uint64_t value, uint64_t commit_t
 
 uint64_t VersionChain::ReadAtSnapshot(const TxFieldBase& field, uint64_t snapshot_ts) {
   // Safety hinges on the commit protocol's lock-before-clock-advance order
-  // (MvTx::TryCommit, as in TL2): a commit with timestamp wv holds all its
+  // (Tl2Tx::TryCommit, which MvTx runs): a commit with timestamp wv holds all its
   // stripe locks before the clock can reach wv. Hence, for any reader whose
   // snapshot_ts came from the clock, an UNLOCKED stripe proves that every
   // commit to it with timestamp <= snapshot_ts has fully published its

@@ -36,15 +36,6 @@ void AstmTx::BeginAttempt() {
   write_order_.clear();
   // mo: relaxed — heuristic mirror of the open count (see astm.h).
   priority_.store(0, std::memory_order_relaxed);
-  local_reads_ = local_writes_ = local_validation_steps_ = local_bytes_cloned_ = 0;
-}
-
-void AstmTx::FlushLocalStats() {
-  // mo: relaxed — StmStats tallies; read only after workers are joined.
-  stats_.reads.fetch_add(local_reads_, std::memory_order_relaxed);
-  stats_.writes.fetch_add(local_writes_, std::memory_order_relaxed);
-  stats_.validation_steps.fetch_add(local_validation_steps_, std::memory_order_relaxed);
-  stats_.bytes_cloned.fetch_add(local_bytes_cloned_, std::memory_order_relaxed);
 }
 
 void AstmTx::CheckAlive() const {
@@ -60,7 +51,7 @@ bool AstmTx::ValidateReadList() {
   // yields the O(k^2) behaviour characteristic of invisible-read STMs.
   TxValidationScope validation;
   validation.set_steps(read_map_.size());
-  local_validation_steps_ += static_cast<int64_t>(read_map_.size());
+  counters_.validation_steps += static_cast<int64_t>(read_map_.size());
   for (const auto& [unit, version] : read_map_) {
     // mo: acquire — pairs with committers' seqlock bumps during writeback.
     if (unit->astm_version.load(std::memory_order_acquire) != version) {
@@ -153,7 +144,7 @@ uint64_t AstmTx::OpenRead(const TmUnit& unit) {
 
 uint64_t AstmTx::Read(const TxFieldBase& field) {
   CheckAlive();
-  ++local_reads_;
+  ++counters_.reads;
   const TmUnit& unit = field.owner();
   if (!write_map_.empty()) {
     if (auto it = write_map_.find(const_cast<TmUnit*>(&unit)); it != write_map_.end()) {
@@ -200,11 +191,11 @@ AstmTx::WriteImage& AstmTx::OpenWrite(TmUnit& unit) {
   for (const TxFieldBase* f : fields) {
     image.words.push_back(f->LoadRaw(std::memory_order_acquire));
   }
-  local_bytes_cloned_ += static_cast<int64_t>(fields.size() * sizeof(uint64_t));
+  counters_.bytes_cloned += static_cast<int64_t>(fields.size() * sizeof(uint64_t));
   if (const TmUnit::PayloadSource& source = unit.payload_source()) {
     const std::string_view payload = source();
     image.payload_clone.assign(payload.data(), payload.size());
-    local_bytes_cloned_ += static_cast<int64_t>(payload.size());
+    counters_.bytes_cloned += static_cast<int64_t>(payload.size());
   }
   write_order_.push_back(&unit);
   // mo: relaxed — heuristic open-count mirror (see astm.h).
@@ -214,7 +205,7 @@ AstmTx::WriteImage& AstmTx::OpenWrite(TmUnit& unit) {
 
 void AstmTx::Write(TxFieldBase& field, uint64_t value) {
   CheckAlive();
-  ++local_writes_;
+  ++counters_.writes;
   TmUnit& unit = field.owner();
   auto it = write_map_.find(&unit);
   if (it == write_map_.end()) {
@@ -261,8 +252,6 @@ bool AstmTx::TryCommit() {
     unit->astm_version.fetch_add(1, std::memory_order_acq_rel);
     unit->astm_owner.store(nullptr, std::memory_order_release);
   }
-  FlushLocalStats();
-  RunCommitHooks();
   return true;
 }
 
@@ -284,8 +273,6 @@ void AstmTx::AbortSelf() {
   // mo: release — publishes the dead state before ownerships drop.
   status_.store(AstmStatus::kAborted, std::memory_order_release);
   ReleaseOwnerships();
-  FlushLocalStats();
-  RunAbortHooks();
 }
 
 }  // namespace sb7

@@ -113,12 +113,6 @@ class AstmTx : public TxImplBase {
   std::unordered_map<const TmUnit*, uint64_t> read_map_;  // unit -> version
   std::unordered_map<TmUnit*, WriteImage> write_map_;
   std::vector<TmUnit*> write_order_;
-
-  int64_t local_reads_ = 0;
-  int64_t local_writes_ = 0;
-  int64_t local_validation_steps_ = 0;
-  int64_t local_bytes_cloned_ = 0;
-  void FlushLocalStats();
 };
 
 }  // namespace sb7

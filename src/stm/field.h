@@ -598,11 +598,16 @@ class TxText {
 
   void Set(std::string text) {
     auto* fresh = new std::string(std::move(text));
+    Transaction* tx = CurrentTx();
+    // Registered before the transactional accesses below, any of which may
+    // abort the attempt.
+    if (tx != nullptr) {
+      tx->OnAbort([fresh] { delete fresh; });
+    }
     const std::string* old = field_.Get();
     field_.Set(fresh);
-    if (Transaction* tx = CurrentTx()) {
+    if (tx != nullptr) {
       tx->OnCommit([old] { EbrDomain::Global().RetireObject(old); });
-      tx->OnAbort([fresh] { delete fresh; });
     } else {
       EbrDomain::Global().RetireObject(old);
     }

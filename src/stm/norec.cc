@@ -15,7 +15,7 @@ sp::AtomicU64 g_norec_clock{0};
 
 }  // namespace
 
-std::unique_ptr<TxImplBase> NorecStm::CreateTx() { return std::make_unique<NorecTx>(stats()); }
+std::unique_ptr<TxImplBase> NorecStm::CreateTx() { return std::make_unique<NorecTx>(); }
 
 uint64_t NorecTx::WaitForEvenClock() {
   while (true) {
@@ -34,14 +34,6 @@ void NorecTx::BeginAttempt() {
   read_log_.clear();
   write_log_.clear();
   write_index_.clear();
-  local_reads_ = local_writes_ = local_validation_steps_ = 0;
-}
-
-void NorecTx::FlushLocalStats() {
-  // mo: relaxed — StmStats tallies; read only after workers are joined.
-  stats_.reads.fetch_add(local_reads_, std::memory_order_relaxed);
-  stats_.writes.fetch_add(local_writes_, std::memory_order_relaxed);
-  stats_.validation_steps.fetch_add(local_validation_steps_, std::memory_order_relaxed);
 }
 
 uint64_t NorecTx::Validate() {
@@ -49,7 +41,7 @@ uint64_t NorecTx::Validate() {
     const uint64_t before = WaitForEvenClock();
     TxValidationScope validation;
     validation.set_steps(read_log_.size());
-    local_validation_steps_ += static_cast<int64_t>(read_log_.size());
+    counters_.validation_steps += static_cast<int64_t>(read_log_.size());
     bool consistent = true;
     const TxFieldBase* conflicting = nullptr;
     for (const ReadEntry& entry : read_log_) {
@@ -78,7 +70,7 @@ uint64_t NorecTx::Validate() {
 }
 
 uint64_t NorecTx::Read(const TxFieldBase& field) {
-  ++local_reads_;
+  ++counters_.reads;
   if (!write_index_.empty()) {
     auto it = write_index_.find(&field);
     if (it != write_index_.end()) {
@@ -99,7 +91,7 @@ uint64_t NorecTx::Read(const TxFieldBase& field) {
 }
 
 void NorecTx::Write(TxFieldBase& field, uint64_t value) {
-  ++local_writes_;
+  ++counters_.writes;
   auto [it, inserted] = write_index_.try_emplace(&field, write_log_.size());
   if (inserted) {
     write_log_.emplace_back(&field, value);
@@ -111,8 +103,6 @@ void NorecTx::Write(TxFieldBase& field, uint64_t value) {
 bool NorecTx::TryCommit() {
   if (write_log_.empty()) {
     // Read-only: every read was validated against a stable clock.
-    FlushLocalStats();
-    RunCommitHooks();
     return true;
   }
   // Acquire the global sequence lock at a clock equal to our snapshot; any
@@ -124,8 +114,6 @@ bool NorecTx::TryCommit() {
     try {
       snapshot_ = Validate();
     } catch (const TxAborted&) {
-      FlushLocalStats();
-      RunAbortHooks();
       return false;
     }
   }
@@ -134,14 +122,11 @@ bool NorecTx::TryCommit() {
   }
   // mo: release — turning the clock even publishes the whole writeback.
   g_norec_clock.store(snapshot_ + 2, std::memory_order_release);
-  FlushLocalStats();
-  RunCommitHooks();
   return true;
 }
 
 void NorecTx::AbortSelf() {
-  FlushLocalStats();
-  RunAbortHooks();
+  // Reads are invisible and writes are buffered; nothing to undo.
 }
 
 }  // namespace sb7

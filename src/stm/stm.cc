@@ -103,6 +103,22 @@ TxImplBase& Stm::LocalTx() {
   return *tls_tx_cache.back().tx;
 }
 
+void Stm::FinishAttempt(TxImplBase& tx, bool committed) {
+  const TxImplBase::AttemptCounters& counters = tx.counters_;
+  // mo: relaxed — StmStats tallies; read only after workers are joined.
+  stats_.reads.fetch_add(counters.reads, std::memory_order_relaxed);
+  stats_.writes.fetch_add(counters.writes, std::memory_order_relaxed);
+  stats_.validation_steps.fetch_add(counters.validation_steps, std::memory_order_relaxed);
+  if (counters.bytes_cloned != 0) {
+    stats_.bytes_cloned.fetch_add(counters.bytes_cloned, std::memory_order_relaxed);
+  }
+  if (committed) {
+    tx.RunCommitHooks();
+  } else {
+    tx.RunAbortHooks();
+  }
+}
+
 void Stm::RunAtomically(const std::function<void(Transaction&)>& body, bool read_only) {
   TxImplBase& tx = LocalTx();
   tx.SetReadOnly(read_only);
@@ -134,6 +150,7 @@ void Stm::RunAtomically(const std::function<void(Transaction&)>& body, bool read
     if (HasTxObservers()) {
       NotifyTxObservers([&](TxObserver& observer) { observer.OnTxBegin(read_only); });
     }
+    tx.counters_ = TxImplBase::AttemptCounters{};
     tx.BeginAttempt();
     SetCurrentTx(&tx);
     if (timing) {
@@ -160,6 +177,23 @@ void Stm::RunAtomically(const std::function<void(Transaction&)>& body, bool read
       NotifyTxObservers(
           [&](TxObserver& observer) { observer.OnTxAttemptTiming(t, committed); });
     };
+    // Bookkeeping of a committed attempt; shared by the normal commit and
+    // the operation-failure commit below.
+    const auto on_commit = [&] {
+      FinishAttempt(tx, /*committed=*/true);
+      // mo: relaxed — StmStats tallies (see above).
+      stats_.commits.fetch_add(1, std::memory_order_relaxed);
+      if (read_only) {
+        stats_.ro_commits.fetch_add(1, std::memory_order_relaxed);
+      }
+      if (HasTxObservers()) {
+        if (timing) {
+          commit_end = NowNanos();
+        }
+        emit_timing(true);
+        NotifyTxObservers([&](TxObserver& observer) { observer.OnTxCommit(); });
+      }
+    };
     try {
       body(tx);
       SetCurrentTx(nullptr);
@@ -168,18 +202,7 @@ void Stm::RunAtomically(const std::function<void(Transaction&)>& body, bool read
         body_validation = internal::tls_tx_validation_nanos;
       }
       if (tx.TryCommit()) {
-        // mo: relaxed — StmStats tallies (see above).
-        stats_.commits.fetch_add(1, std::memory_order_relaxed);
-        if (read_only) {
-          stats_.ro_commits.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (HasTxObservers()) {
-          if (timing) {
-            commit_end = NowNanos();
-          }
-          emit_timing(true);
-          NotifyTxObservers([&](TxObserver& observer) { observer.OnTxCommit(); });
-        }
+        on_commit();
         return;
       }
       if (timing) {
@@ -203,24 +226,14 @@ void Stm::RunAtomically(const std::function<void(Transaction&)>& body, bool read
         body_validation = internal::tls_tx_validation_nanos;
       }
       if (tx.TryCommit()) {
-        // mo: relaxed — StmStats tallies (see above).
-        stats_.commits.fetch_add(1, std::memory_order_relaxed);
-        if (read_only) {
-          stats_.ro_commits.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (HasTxObservers()) {
-          if (timing) {
-            commit_end = NowNanos();
-          }
-          emit_timing(true);
-          NotifyTxObservers([&](TxObserver& observer) { observer.OnTxCommit(); });
-        }
+        on_commit();
         throw;
       }
       if (timing) {
         commit_end = NowNanos();
       }
     }
+    FinishAttempt(tx, /*committed=*/false);
     // mo: relaxed — StmStats tallies (see above).
     stats_.aborts.fetch_add(1, std::memory_order_relaxed);
     if (read_only) {

@@ -151,16 +151,22 @@ struct StmStats {
 };
 
 /// Per-attempt transaction implementation. The retry loop owns the life
-/// cycle: BeginAttempt -> body -> (TryCommit | AbortSelf). After
+/// cycle: BeginAttempt -> body -> (TryCommit | AbortSelf). A backend's
+/// TryCommit and AbortSelf only settle the attempt's protocol state: when
 /// TryCommit() returns false or AbortSelf() returns, all transaction-held
 /// resources (stripe locks, object ownerships, undo state) have been
-/// released.
+/// released. The retry loop does the per-attempt bookkeeping every backend
+/// shares: it zeroes `counters_` before BeginAttempt, flushes them into
+/// StmStats once when the attempt ends, and then runs the commit hooks
+/// (after a TryCommit that returned true) or the abort hooks (after a
+/// TryCommit that returned false, or after AbortSelf). Hooks therefore run
+/// last, once every lock the attempt held is released.
 class TxImplBase : public Transaction {
  public:
   /// Starts a fresh attempt on the calling thread.
   virtual void BeginAttempt() = 0;
   /// Returns true iff the transaction committed; on false the attempt has
-  /// been fully rolled back and abort hooks have run.
+  /// been fully rolled back.
   virtual bool TryCommit() = 0;
   /// Rolls back the attempt (used when the body threw TxAborted).
   virtual void AbortSelf() = 0;
@@ -168,6 +174,20 @@ class TxImplBase : public Transaction {
   /// body performs no writes. Backends may use it to serve all reads from a
   /// consistent snapshot (mvstm); the default ignores it.
   virtual void SetReadOnly(bool read_only) { (void)read_only; }
+
+ protected:
+  /// Work done by the current attempt; backends bump these plain counters
+  /// and the retry loop adds them to the shared StmStats once per attempt.
+  struct AttemptCounters {
+    int64_t reads = 0;
+    int64_t writes = 0;
+    int64_t validation_steps = 0;
+    int64_t bytes_cloned = 0;  // object-granular write-open cloning (ASTM)
+  };
+  AttemptCounters counters_;
+
+ private:
+  friend class Stm;  // resets and flushes counters_, runs the hooks
 };
 
 /// Exponential backoff with jitter. On this benchmark's single-core hosts
@@ -213,6 +233,9 @@ class Stm {
 
  private:
   TxImplBase& LocalTx();
+  // Ends an attempt: flushes its counters into stats_, then runs the commit
+  // or abort hooks it registered.
+  void FinishAttempt(TxImplBase& tx, bool committed);
 
   uint64_t instance_id_;
   StmStats stats_;

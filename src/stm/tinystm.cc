@@ -4,7 +4,7 @@
 
 namespace sb7 {
 
-std::unique_ptr<TxImplBase> TinyStm::CreateTx() { return std::make_unique<TinyTx>(stats()); }
+std::unique_ptr<TxImplBase> TinyStm::CreateTx() { return std::make_unique<TinyTx>(); }
 
 void TinyTx::BeginAttempt() {
   rv_ = LockTable::ClockNow();
@@ -12,20 +12,12 @@ void TinyTx::BeginAttempt() {
   undo_log_.clear();
   owned_.clear();
   owned_lookup_.clear();
-  local_reads_ = local_writes_ = local_validation_steps_ = 0;
 }
 
-void TinyTx::FlushLocalStats() {
-  // mo: relaxed — StmStats tallies; read only after workers are joined.
-  stats_.reads.fetch_add(local_reads_, std::memory_order_relaxed);
-  stats_.writes.fetch_add(local_writes_, std::memory_order_relaxed);
-  stats_.validation_steps.fetch_add(local_validation_steps_, std::memory_order_relaxed);
-}
-
-bool TinyTx::ValidateReadSet() const {
+bool TinyTx::ValidateReadSet() {
   TxValidationScope validation;
   validation.set_steps(read_set_.size());
-  local_validation_steps_ += static_cast<int64_t>(read_set_.size());
+  counters_.validation_steps += static_cast<int64_t>(read_set_.size());
   for (const ReadEntry& entry : read_set_) {
     // mo: acquire — pairs with committers' release stores on the stripe.
     const uint64_t word = entry.stripe->load(std::memory_order_acquire);
@@ -52,7 +44,7 @@ bool TinyTx::ExtendSnapshot(uint64_t now) {
 }
 
 uint64_t TinyTx::Read(const TxFieldBase& field) {
-  ++local_reads_;
+  ++counters_.reads;
   sp::AtomicU64& stripe = LockTable::Global().StripeOf(field);
   while (true) {
     // mo: acquire — the pre/post pair brackets the in-place data read
@@ -73,9 +65,16 @@ uint64_t TinyTx::Read(const TxFieldBase& field) {
     if (post != pre) {
       continue;  // raced with a commit; re-read
     }
-    if (LockTable::VersionOf(pre) > rv_ && !ExtendSnapshot(LockTable::ClockNow())) {
-      // Cause and conflict key were set by ValidateReadSet.
-      throw TxAborted{};
+    if (LockTable::VersionOf(pre) > rv_) {
+      if (!ExtendSnapshot(LockTable::ClockNow())) {
+        // Cause and conflict key were set by ValidateReadSet.
+        throw TxAborted{};
+      }
+      // `value` belongs to the old snapshot: a commit landing between its
+      // load and the clock read above may have overwritten it with a
+      // version the extended snapshot covers. Re-read under the new
+      // snapshot, as TinySTM's stm_read restarts after an extension.
+      continue;
     }
     read_set_.push_back(ReadEntry{&stripe, pre});
     return value;
@@ -83,7 +82,7 @@ uint64_t TinyTx::Read(const TxFieldBase& field) {
 }
 
 void TinyTx::Write(TxFieldBase& field, uint64_t value) {
-  ++local_writes_;
+  ++counters_.writes;
   sp::AtomicU64& stripe = LockTable::Global().StripeOf(field);
   if (!OwnsStripe(&stripe)) {
     // mo: acquire — probe must see the last owner's release of the stripe.
@@ -114,15 +113,11 @@ void TinyTx::Write(TxFieldBase& field, uint64_t value) {
 
 bool TinyTx::TryCommit() {
   if (owned_.empty()) {
-    FlushLocalStats();
-    RunCommitHooks();
     return true;
   }
   const uint64_t wv = LockTable::ClockAdvance();
   if (wv != rv_ + 1 && !ValidateReadSet()) {
     RollbackAndRelease();
-    FlushLocalStats();
-    RunAbortHooks();
     return false;
   }
   for (const OwnedStripe& held : owned_) {
@@ -131,8 +126,6 @@ bool TinyTx::TryCommit() {
   }
   owned_.clear();
   owned_lookup_.clear();
-  FlushLocalStats();
-  RunCommitHooks();
   return true;
 }
 
@@ -150,10 +143,6 @@ void TinyTx::RollbackAndRelease() {
   owned_lookup_.clear();
 }
 
-void TinyTx::AbortSelf() {
-  RollbackAndRelease();
-  FlushLocalStats();
-  RunAbortHooks();
-}
+void TinyTx::AbortSelf() { RollbackAndRelease(); }
 
 }  // namespace sb7

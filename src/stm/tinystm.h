@@ -32,8 +32,6 @@ class TinyStm : public Stm {
 
 class TinyTx : public TxImplBase {
  public:
-  explicit TinyTx(StmStats& stats) : stats_(stats) {}
-
   void BeginAttempt() override;
   uint64_t Read(const TxFieldBase& field) override;
   void Write(TxFieldBase& field, uint64_t value) override;
@@ -61,21 +59,15 @@ class TinyTx : public TxImplBase {
   // Revalidates the read set against `now` and, on success, moves the
   // snapshot forward. Returns false if any read is stale.
   bool ExtendSnapshot(uint64_t now);
-  bool ValidateReadSet() const;
+  bool ValidateReadSet();
   void RollbackAndRelease();
 
-  StmStats& stats_;
   uint64_t rv_ = 0;
 
   std::vector<ReadEntry> read_set_;
   std::vector<UndoEntry> undo_log_;
   std::vector<OwnedStripe> owned_;
   std::unordered_set<const sp::AtomicU64*> owned_lookup_;
-
-  int64_t local_reads_ = 0;
-  int64_t local_writes_ = 0;
-  mutable int64_t local_validation_steps_ = 0;
-  void FlushLocalStats();
 };
 
 }  // namespace sb7

@@ -27,37 +27,44 @@ class Tl2Stm : public Stm {
   std::unique_ptr<TxImplBase> CreateTx() override;
 };
 
+// The TL2 engine. mvstm's update mode runs it too: MvTx derives from Tl2Tx
+// and replaces only the commit's write-version step and its writeback
+// (src/mvstm/mvstm.h).
 class Tl2Tx : public TxImplBase {
  public:
-  explicit Tl2Tx(StmStats& stats) : stats_(stats) {}
-
   void BeginAttempt() override;
   uint64_t Read(const TxFieldBase& field) override;
   void Write(TxFieldBase& field, uint64_t value) override;
   bool TryCommit() override;
   void AbortSelf() override;
 
-  size_t read_set_size() const { return read_set_.size(); }
-  size_t write_set_size() const { return write_log_.size(); }
-
- private:
+ protected:
   struct WriteEntry {
     TxFieldBase* field;
     uint64_t value;
   };
 
+  // Commit steps a derived engine may replace. Both run with the write
+  // stripes held. TakeWriteVersion sets *wv to the commit's write version
+  // and returns false (cause recorded) when the read set does not validate
+  // against it; WriteBack makes the write log visible at `wv` before the
+  // stripes unlock.
+  virtual bool TakeWriteVersion(uint64_t* wv);
+  virtual void WriteBack(uint64_t wv);
+
+  bool ValidateReadSet();
+
+  uint64_t rv_ = 0;
+  std::vector<WriteEntry> write_log_;
+
+ private:
   // Acquires the stripes covering the write set in address order; returns
   // false (with everything released) if any stripe is held by another
   // transaction.
   bool AcquireWriteStripes();
   void ReleaseAcquired(uint64_t unlock_word_version, bool use_saved);
-  bool ValidateReadSet();
-
-  StmStats& stats_;
-  uint64_t rv_ = 0;
 
   std::vector<const sp::AtomicU64*> read_set_;
-  std::vector<WriteEntry> write_log_;
   std::unordered_map<const TxFieldBase*, size_t> write_index_;
 
   struct AcquiredStripe {
@@ -65,12 +72,6 @@ class Tl2Tx : public TxImplBase {
     uint64_t saved_word;  // pre-lock word, restored on failed commit
   };
   std::vector<AcquiredStripe> acquired_;
-
-  // Local counters flushed to stats_ at attempt end.
-  int64_t local_reads_ = 0;
-  int64_t local_writes_ = 0;
-  int64_t local_validation_steps_ = 0;
-  void FlushLocalStats();
 };
 
 }  // namespace sb7

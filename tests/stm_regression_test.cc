@@ -129,12 +129,11 @@ TEST(TinyStmTest, SnapshotExtensionLetsDisjointReadersSurvive) {
   // writer committed to B meanwhile), must extend — not abort — when A is
   // untouched. Orchestrated deterministically from one thread using two STM
   // handles and explicit transaction interleaving.
-  TinyStm stm;
   Cell a(1);
   Cell b(2);
 
   // Start a reader transaction by hand.
-  TinyTx reader(stm.stats());
+  TinyTx reader;
   reader.BeginAttempt();
   SetCurrentTx(&reader);
   EXPECT_EQ(a.value.Get(), 1);
@@ -153,11 +152,10 @@ TEST(TinyStmTest, SnapshotExtensionLetsDisjointReadersSurvive) {
 }
 
 TEST(TinyStmTest, ExtensionFailsWhenReadsAreStale) {
-  TinyStm stm;
   Cell a(1);
   Cell b(2);
 
-  TinyTx reader(stm.stats());
+  TinyTx reader;
   reader.BeginAttempt();
   SetCurrentTx(&reader);
   EXPECT_EQ(a.value.Get(), 1);

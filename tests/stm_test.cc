@@ -263,6 +263,45 @@ TEST_P(StmTest, StatsCountersAreConsistent) {
   EXPECT_GE(view.writes, 100);
 }
 
+TEST_P(StmTest, AttemptCountersAreFlushedOncePerAttempt) {
+  // One execution of two attempts: the first writes `a` and then aborts, so
+  // its counters must reach StmStats although it never commits. The pinned
+  // figures are what BENCH cells and /metrics report for this transaction.
+  Cell a(0);
+  Cell b(0);
+  bool first_attempt = true;
+  stm_->RunAtomically([&](Transaction&) {
+    const int64_t x = a.value.Get();
+    const int64_t y = b.value.Get();
+    a.value.Set(x + 1);
+    if (first_attempt) {
+      first_attempt = false;
+      throw TxAborted{};
+    }
+    b.value.Set(y + 1);
+  });
+  EXPECT_EQ(a.value.Get(), 1);
+  EXPECT_EQ(b.value.Get(), 1);
+  const StmStats::View view = stm_->stats().Snapshot();
+  EXPECT_EQ(view.starts, 1);
+  EXPECT_EQ(view.commits, 1);
+  EXPECT_EQ(view.aborts, 1);
+  EXPECT_EQ(view.reads, 4);   // two per attempt
+  EXPECT_EQ(view.writes, 3);  // one in the aborted attempt, two in the commit
+  if (std::string(GetParam()) == "astm") {
+    // Incremental validation: the second open re-checks the first in each
+    // attempt (1 + 1), and the commit re-checks both (2). Every write-open
+    // clones its one-field unit (8 bytes): `a`, then `a` and `b`.
+    EXPECT_EQ(view.validation_steps, 4);
+    EXPECT_EQ(view.bytes_cloned, 24);
+  } else {
+    // Single-threaded, so no commit lands between start and commit: the
+    // word STMs take their no-validation commit shortcut.
+    EXPECT_EQ(view.validation_steps, 0);
+    EXPECT_EQ(view.bytes_cloned, 0);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStms, StmTest,
                          ::testing::Values("tl2", "tinystm", "norec", "astm", "mvstm"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
