@@ -49,7 +49,7 @@ class TtcHistogram {
   // Quantile (q in [0,1]) in milliseconds, linearly interpolated within the
   // bucket where the cumulative count crosses q * total. This is the same
   // linear-interpolation convention as perf::QuantileOf / perf::Median, so
-  // harness CSV/JSON percentiles and sb7-bench aggregates agree on what a
+  // harness JSON report percentiles and sb7-bench aggregates agree on what a
   // "p50" means. The result is clamped to the recorded max.
   double QuantileMillis(double q) const;
 

@@ -1,10 +1,42 @@
-#include "src/perf/json.h"
+#include "src/common/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
-namespace sb7::perf {
+namespace sb7 {
+
+std::string JsonString(std::string_view text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x", static_cast<unsigned>(c));
+          out += buffer;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
 
 const std::vector<JsonValue>& JsonValue::Items() const {
   static const std::vector<JsonValue> empty;
@@ -67,13 +99,25 @@ class Parser {
     return false;
   }
 
-  bool ConsumeLiteral(const char* literal) {
-    const size_t length = std::string(literal).size();
-    if (text_.compare(pos_, length, literal) == 0) {
-      pos_ += length;
+  bool ConsumeLiteral(std::string_view literal) {
+    if (text_.compare(pos_, literal.size(), literal) == 0) {
+      pos_ += literal.size();
       return true;
     }
     return false;
+  }
+
+  JsonValue ParseLiteral() {
+    if (ConsumeLiteral("true")) {
+      return JsonValue(true);
+    }
+    if (ConsumeLiteral("false")) {
+      return JsonValue(false);
+    }
+    if (!ConsumeLiteral("null")) {
+      Fail("invalid literal");
+    }
+    return JsonValue();
   }
 
   JsonValue ParseValue() {
@@ -91,23 +135,9 @@ class Parser {
       case '"':
         return JsonValue(ParseString());
       case 't':
-        if (ConsumeLiteral("true")) {
-          return JsonValue(true);
-        }
-        Fail("invalid literal");
-        return JsonValue();
       case 'f':
-        if (ConsumeLiteral("false")) {
-          return JsonValue(false);
-        }
-        Fail("invalid literal");
-        return JsonValue();
       case 'n':
-        if (ConsumeLiteral("null")) {
-          return JsonValue();
-        }
-        Fail("invalid literal");
-        return JsonValue();
+        return ParseLiteral();
       default:
         return ParseNumber();
     }
@@ -214,27 +244,20 @@ class Parser {
           out += '\f';
           break;
         case 'u': {
-          // The report writers only emit \u00XX for control characters;
+          // JsonString only emits \u00XX for control characters;
           // decode the low byte and reject anything beyond Latin-1.
           if (pos_ + 4 > text_.size()) {
             Fail("truncated \\u escape");
             return out;
           }
           const std::string hex = text_.substr(pos_, 4);
-          // Validate digit-by-digit: strtol would accept leading
-          // whitespace/signs that are not legal JSON.
-          long code = 0;
-          bool valid = true;
-          for (const char h : hex) {
-            if (!std::isxdigit(static_cast<unsigned char>(h))) {
-              valid = false;
-              break;
-            }
-            code = code * 16 + (std::isdigit(static_cast<unsigned char>(h))
-                                    ? h - '0'
-                                    : std::tolower(h) - 'a' + 10);
-          }
-          if (!valid || code > 0xFF) {
+          // strtol alone would accept leading whitespace/signs that are not
+          // legal JSON; only four hex digits are.
+          const bool digits = std::all_of(hex.begin(), hex.end(), [](char h) {
+            return std::isxdigit(static_cast<unsigned char>(h)) != 0;
+          });
+          const long code = digits ? std::strtol(hex.c_str(), nullptr, 16) : -1;
+          if (code < 0 || code > 0xFF) {
             Fail("unsupported \\u escape: " + hex);
             return out;
           }
@@ -282,4 +305,4 @@ class Parser {
 
 JsonParseResult ParseJson(const std::string& text) { return Parser(text).Parse(); }
 
-}  // namespace sb7::perf
+}  // namespace sb7

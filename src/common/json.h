@@ -1,23 +1,31 @@
 /// \file
-/// Minimal JSON document model and recursive-descent parser.
+/// The one JSON module: a string escaper shared by every JSON writer in the
+/// tree, and a minimal document model with a recursive-descent parser.
 ///
-/// `sb7-bench --compare` must read back the `BENCH_*.json` artifacts it
-/// writes; rather than growing a third-party dependency the perf subsystem
-/// carries this ~200-line parser. It handles exactly the JSON subset the
-/// report writers emit (objects, arrays, strings with the escape set of
-/// `report.cc`, doubles, booleans, null) and rejects everything else with a
-/// position-tagged error. It is not a general-purpose JSON library: numbers
-/// are always doubles and object key order is not preserved.
+/// The writers (the `stmbench7 --json` report, `BENCH_*.json`, telemetry
+/// JSONL and `/series`, Chrome traces) assemble documents with streams and
+/// quote every string through `JsonString`. `sb7-bench --compare`,
+/// `--validate-json` and the telemetry validator read them back with
+/// `ParseJson`. The parser handles exactly the JSON subset the writers emit
+/// (objects, arrays, strings with the escape set of `JsonString`, doubles,
+/// booleans, null) and rejects everything else with a position-tagged error.
+/// It is not a general-purpose JSON library: numbers are always doubles and
+/// object key order is not preserved.
 
-#ifndef STMBENCH7_SRC_PERF_JSON_H_
-#define STMBENCH7_SRC_PERF_JSON_H_
+#ifndef STMBENCH7_SRC_COMMON_JSON_H_
+#define STMBENCH7_SRC_COMMON_JSON_H_
 
 #include <map>
-#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
-namespace sb7::perf {
+namespace sb7 {
+
+/// `text` as a quoted JSON string literal. Escapes `"`, `\`, newline and
+/// tab by name and every other byte below 0x20 as `\u00XX`; all other bytes
+/// (UTF-8 included) pass through unchanged.
+std::string JsonString(std::string_view text);
 
 /// One parsed JSON value. The kind discriminates which accessor is valid;
 /// the convenience getters below return a fallback instead of asserting so
@@ -53,7 +61,7 @@ class JsonValue {
   /// Object member lookup; returns nullptr when absent or not an object.
   const JsonValue* Find(const std::string& key) const;
 
-  /// Builders used by tests that assemble synthetic documents.
+  /// Builders the parser assembles documents with.
   static JsonValue MakeObject() {
     JsonValue v;
     v.kind_ = Kind::kObject;
@@ -88,6 +96,6 @@ struct JsonParseResult {
 /// Parses one JSON document; trailing non-whitespace is an error.
 JsonParseResult ParseJson(const std::string& text);
 
-}  // namespace sb7::perf
+}  // namespace sb7
 
-#endif  // STMBENCH7_SRC_PERF_JSON_H_
+#endif  // STMBENCH7_SRC_COMMON_JSON_H_

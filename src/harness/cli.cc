@@ -26,7 +26,6 @@ std::string UsageText() {
   --read-fraction <f>    alias for --read-ratio
   --scenario <name|file> phased scenario: steady-read | write-storm | diurnal |
                          hotspot | ramp, or a key=value spec file (see README)
-  --csv <file>           also write a machine-readable CSV report
   --json <file>          also write a machine-readable JSON report
   --trace <file>         trace the run and write a Chrome trace-event JSON
                          timeline (load in Perfetto / chrome://tracing)
@@ -186,11 +185,6 @@ CliResult ParseCommandLine(int argc, const char* const* argv) {
         return fail(loaded.error);
       }
       config.scenario = std::move(loaded.scenario);
-    } else if (arg == "--csv") {
-      if (!next(value) || value.empty()) {
-        return fail("--csv requires a file path");
-      }
-      config.csv_path = value;
     } else if (arg == "--json") {
       if (!next(value) || value.empty()) {
         return fail("--json requires a file path");

@@ -92,8 +92,6 @@ struct BenchConfig {
   // Open perf_event hardware counters for the run (graceful no-op when
   // unavailable); only meaningful with telemetry enabled.
   bool telemetry_hw = true;
-  // When non-empty, the CLI writes a machine-readable CSV here.
-  std::string csv_path;
   // When non-empty, the CLI writes a machine-readable JSON report here.
   std::string json_path;
   // Durable redo log (mvstm only, docs/DURABILITY.md): when non-empty the

@@ -202,16 +202,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!cli.config.csv_path.empty()) {
-    std::ofstream csv(cli.config.csv_path);
-    if (!csv) {
-      std::cerr << "error: cannot write " << cli.config.csv_path << "\n";
-      return 2;
-    }
-    sb7::WriteCsv(csv, runner, result);
-    std::cerr << "CSV written to " << cli.config.csv_path << "\n";
-  }
-
   if (!cli.config.trace_path.empty()) {
     std::ofstream trace(cli.config.trace_path);
     if (!trace) {

@@ -2,9 +2,10 @@
 
 #include <array>
 #include <cmath>
-#include <cstdio>
 #include <iomanip>
 #include <string>
+
+#include "src/common/json.h"
 
 namespace sb7 {
 namespace {
@@ -16,24 +17,14 @@ constexpr std::array<OpCategory, 4> kCategories = {
     OpCategory::kStructureModification,
 };
 
-// CSV metadata schema version. 1 = the implicit pre-scenario layout; 2 adds
-// p999_ms/started_per_s op columns and the per-phase section; 3 adds the
-// stm_kills/abort-cause metadata keys and syncs the per-phase rows with the
-// run-level STM block (validation_steps, kills, abort causes).
-constexpr int kCsvSchemaVersion = 3;
-
-// Pair-matrix axis label: slot 0 is activity outside any operation (setup,
-// tests), slot i+1 is registry op i.
-std::string SlotName(const std::vector<std::unique_ptr<Operation>>& ops, int slot) {
-  if (slot <= 0 || static_cast<size_t>(slot) > ops.size()) {
-    return "(none)";
-  }
-  return ops[slot - 1]->name();
-}
+// `--json` report schema version. 1 = the implicit pre-scenario layout; 2
+// adds p999_ms/started_per_s per operation and the per-phase blocks; 3 adds
+// the kills/abort-cause STM keys and syncs the per-phase STM blocks with the
+// run-level one (validation_steps, kills, abort causes).
+constexpr int kReportSchemaVersion = 3;
 
 void PrintConflictSummary(std::ostream& out, const trace::ConflictSummary& conflicts,
-                          const std::vector<std::unique_ptr<Operation>>& ops,
-                          const char* indent) {
+                          const OperationRegistry& registry, const char* indent) {
   out << indent << "conflicts: " << conflicts.attributed_aborts << " of "
       << conflicts.total_aborts << " aborts attributed to a stripe\n";
   for (const trace::ConflictHotLocation& location : conflicts.top_locations) {
@@ -41,8 +32,8 @@ void PrintConflictSummary(std::ostream& out, const trace::ConflictSummary& confl
         << location.aborts << " aborts\n";
   }
   for (const trace::ConflictPair& pair : conflicts.top_pairs) {
-    out << indent << "  " << SlotName(ops, pair.victim_slot) << " killed by "
-        << SlotName(ops, pair.writer_slot) << ": " << pair.aborts << "\n";
+    out << indent << "  " << registry.SlotName(pair.victim_slot) << " killed by "
+        << registry.SlotName(pair.writer_slot) << ": " << pair.aborts << "\n";
   }
 }
 
@@ -60,7 +51,7 @@ void PrintHwLine(std::ostream& out, const telemetry::HwSample& hw, const char* i
 }
 
 void PrintPhaseSection(std::ostream& out, const PhaseResult& phase,
-                       const std::vector<std::unique_ptr<Operation>>& ops, bool traced) {
+                       const OperationRegistry& registry, bool traced) {
   out << "  phase " << std::left << std::setw(10) << phase.name << std::right
       << " arrival=" << ArrivalModelName(phase.arrival) << " threads=" << phase.threads
       << " read-fraction=" << std::fixed << std::setprecision(2) << phase.read_fraction;
@@ -106,9 +97,33 @@ void PrintPhaseSection(std::ostream& out, const PhaseResult& phase,
     }
   }
   if (traced && phase.conflicts.total_aborts > 0) {
-    PrintConflictSummary(out, phase.conflicts, ops, "    ");
+    PrintConflictSummary(out, phase.conflicts, registry, "    ");
   }
   PrintHwLine(out, phase.hw, "    ");
+}
+
+void WriteConflictsJson(std::ostream& out, const trace::ConflictSummary& conflicts,
+                        const OperationRegistry& registry, const char* indent) {
+  out << "{\n";
+  out << indent << "  \"total_aborts\": " << conflicts.total_aborts
+      << ", \"attributed_aborts\": " << conflicts.attributed_aborts << ",\n";
+  out << indent << "  \"top_locations\": [";
+  for (size_t i = 0; i < conflicts.top_locations.size(); ++i) {
+    const trace::ConflictHotLocation& location = conflicts.top_locations[i];
+    out << (i == 0 ? "" : ", ") << "{\"key\": \"0x" << std::hex << location.key << std::dec
+        << "\", \"aborts\": " << location.aborts << "}";
+  }
+  out << "],\n";
+  out << indent << "  \"top_pairs\": [";
+  for (size_t i = 0; i < conflicts.top_pairs.size(); ++i) {
+    const trace::ConflictPair& pair = conflicts.top_pairs[i];
+    out << (i == 0 ? "" : ", ")
+        << "{\"victim\": " << JsonString(registry.SlotName(pair.victim_slot))
+        << ", \"writer\": " << JsonString(registry.SlotName(pair.writer_slot))
+        << ", \"aborts\": " << pair.aborts << "}";
+  }
+  out << "]\n";
+  out << indent << "}";
 }
 
 }  // namespace
@@ -206,7 +221,7 @@ void PrintReport(std::ostream& out, const BenchmarkRunner& runner, const BenchRe
   if (!result.phases.empty()) {
     out << "\n== Phase results ==\n";
     for (const PhaseResult& phase : result.phases) {
-      PrintPhaseSection(out, phase, ops, result.traced);
+      PrintPhaseSection(out, phase, runner.registry(), result.traced);
     }
   }
 
@@ -260,7 +275,7 @@ void PrintReport(std::ostream& out, const BenchmarkRunner& runner, const BenchRe
 
   if (result.traced) {
     out << "\n== Conflict attribution ==\n";
-    PrintConflictSummary(out, result.conflicts, ops, "  ");
+    PrintConflictSummary(out, result.conflicts, runner.registry(), "  ");
     if (result.trace_events_dropped > 0) {
       out << "  timeline events dropped to ring overflow: " << result.trace_events_dropped
           << " (raise --trace-buffer or --trace-sample)\n";
@@ -286,7 +301,7 @@ void PrintReport(std::ostream& out, const BenchmarkRunner& runner, const BenchRe
           continue;
         }
         const double n = static_cast<double>(lat.attempts);
-        out << std::left << std::setw(10) << SlotName(ops, static_cast<int>(slot))
+        out << std::left << std::setw(10) << runner.registry().SlotName(static_cast<int>(slot))
             << std::right << std::setw(10) << lat.attempts << std::setw(10) << lat.commits
             << std::fixed << std::setprecision(1) << std::setw(10)
             << static_cast<double>(lat.read_nanos) / n / 1e3 << std::setw(12)
@@ -296,125 +311,6 @@ void PrintReport(std::ostream& out, const BenchmarkRunner& runner, const BenchRe
       }
     }
   }
-}
-
-void WriteCsv(std::ostream& out, const BenchmarkRunner& runner, const BenchResult& result) {
-  const BenchConfig& config = runner.config();
-  const auto& ops = runner.registry().all();
-
-  out << "# schema=" << kCsvSchemaVersion << "\n";
-  out << "# strategy=" << config.strategy << "\n";
-  out << "# scale=" << config.scale << "\n";
-  out << "# workload=" << WorkloadTypeName(config.workload) << "\n";
-  if (config.scenario.has_value()) {
-    out << "# scenario=" << config.scenario->name << "\n";
-    out << "# phases=" << config.scenario->phases.size() << "\n";
-  }
-  out << "# threads=" << runner.spawned_threads() << "\n";
-  out << "# seed=" << config.seed << "\n";
-  out << "# elapsed_seconds=" << result.elapsed_seconds << "\n";
-  out << "# throughput_success=" << result.SuccessThroughput() << "\n";
-  out << "# throughput_started=" << result.StartedThroughput() << "\n";
-  if (runner.strategy().stm() != nullptr) {
-    out << "# stm_commits=" << result.stm.commits << "\n";
-    out << "# stm_aborts=" << result.stm.aborts << "\n";
-    out << "# stm_validation_steps=" << result.stm.validation_steps << "\n";
-    out << "# stm_bytes_cloned=" << result.stm.bytes_cloned << "\n";
-    out << "# stm_ro_aborts=" << result.stm.ro_aborts << "\n";
-    out << "# stm_kills=" << result.stm.kills << "\n";
-    out << "# stm_aborts_read_validation=" << result.stm.aborts_read_validation << "\n";
-    out << "# stm_aborts_write_lock=" << result.stm.aborts_write_lock << "\n";
-    out << "# stm_aborts_kill=" << result.stm.aborts_kill << "\n";
-    out << "# stm_aborts_snapshot_too_old=" << result.stm.aborts_snapshot_too_old << "\n";
-    out << "# stm_aborts_unknown=" << result.stm.aborts_unknown << "\n";
-  }
-  if (result.traced) {
-    out << "# trace_events_dropped=" << result.trace_events_dropped << "\n";
-  }
-  // Schema 2 keeps the schema-1 column order and appends p999_ms and the
-  // per-operation started throughput.
-  out << "op,category,read_only,ratio,completed,failed,max_ms,mean_ms,p50_ms,p90_ms,p99_ms,"
-         "p999_ms,started_per_s\n";
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (result.ratios[i] == 0.0 && result.per_op[i].started() == 0) {
-      continue;
-    }
-    const OpMetrics& metrics = result.per_op[i];
-    const TtcHistogram& hist = metrics.histogram;
-    const double started_per_s =
-        result.elapsed_seconds > 0
-            ? static_cast<double>(metrics.started()) / result.elapsed_seconds
-            : 0.0;
-    out << ops[i]->name() << ',' << OpCategoryName(ops[i]->category()) << ','
-        << (ops[i]->read_only() ? 1 : 0) << ',' << result.ratios[i] << ',' << metrics.success
-        << ',' << metrics.failed << ',' << static_cast<double>(hist.max_nanos()) / 1e6 << ','
-        << hist.MeanMillis() << ',' << hist.QuantileMillis(0.5) << ','
-        << hist.QuantileMillis(0.9) << ',' << hist.QuantileMillis(0.99) << ','
-        << hist.QuantileMillis(0.999) << ',' << started_per_s << "\n";
-  }
-  out << "TOTAL,,," << 1.0 << ',' << result.total_success << ','
-      << result.total_started - result.total_success << ",,,,,,," << result.StartedThroughput()
-      << "\n";
-
-  // Per-phase section (scenario runs): one row per phase, including the
-  // open-loop queue-delay percentiles and the STM/hotspot deltas.
-  if (!result.phases.empty()) {
-    out << "phase,arrival,threads,read_fraction,zipf_theta,elapsed_s,completed,failed,"
-           "ops_per_s,started_per_s,target_rate,arrivals,delayed,backlog_peak,"
-           "qd_p50_ms,qd_p90_ms,qd_p99_ms,qd_p999_ms,qd_max_ms,"
-           "stm_commits,stm_aborts,stm_ro_aborts,stm_validation_steps,stm_kills,"
-           "stm_aborts_read_validation,stm_aborts_write_lock,stm_aborts_kill,"
-           "stm_aborts_snapshot_too_old,hot_hits,hot_samples\n";
-    for (const PhaseResult& phase : result.phases) {
-      const TtcHistogram& qd = phase.pace.queue_delay;
-      out << phase.name << ',' << ArrivalModelName(phase.arrival) << ',' << phase.threads
-          << ',' << phase.read_fraction << ',' << phase.zipf_theta << ','
-          << phase.elapsed_seconds << ',' << phase.total_success << ','
-          << phase.total_started - phase.total_success << ',' << phase.SuccessThroughput()
-          << ',' << phase.StartedThroughput() << ',' << phase.target_rate << ','
-          << phase.pace.arrivals << ',' << phase.pace.delayed << ','
-          << phase.pace.backlog_peak << ',' << qd.QuantileMillis(0.5) << ','
-          << qd.QuantileMillis(0.9) << ',' << qd.QuantileMillis(0.99) << ','
-          << qd.QuantileMillis(0.999) << ',' << static_cast<double>(qd.max_nanos()) / 1e6
-          << ',' << phase.stm.commits << ',' << phase.stm.aborts << ',' << phase.stm.ro_aborts
-          << ',' << phase.stm.validation_steps << ',' << phase.stm.kills << ','
-          << phase.stm.aborts_read_validation << ',' << phase.stm.aborts_write_lock << ','
-          << phase.stm.aborts_kill << ',' << phase.stm.aborts_snapshot_too_old << ','
-          << phase.hot_hits << ',' << phase.hot_samples << "\n";
-    }
-  }
-}
-
-namespace {
-
-std::string JsonString(std::string_view text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
 }
 
 void WriteStmJson(std::ostream& out, const StmStats::View& stm, const char* indent) {
@@ -434,38 +330,12 @@ void WriteStmJson(std::ostream& out, const StmStats::View& stm, const char* inde
   out << indent << "}";
 }
 
-void WriteConflictsJson(std::ostream& out, const trace::ConflictSummary& conflicts,
-                        const std::vector<std::unique_ptr<Operation>>& ops,
-                        const char* indent) {
-  out << "{\n";
-  out << indent << "  \"total_aborts\": " << conflicts.total_aborts
-      << ", \"attributed_aborts\": " << conflicts.attributed_aborts << ",\n";
-  out << indent << "  \"top_locations\": [";
-  for (size_t i = 0; i < conflicts.top_locations.size(); ++i) {
-    const trace::ConflictHotLocation& location = conflicts.top_locations[i];
-    out << (i == 0 ? "" : ", ") << "{\"key\": \"0x" << std::hex << location.key << std::dec
-        << "\", \"aborts\": " << location.aborts << "}";
-  }
-  out << "],\n";
-  out << indent << "  \"top_pairs\": [";
-  for (size_t i = 0; i < conflicts.top_pairs.size(); ++i) {
-    const trace::ConflictPair& pair = conflicts.top_pairs[i];
-    out << (i == 0 ? "" : ", ") << "{\"victim\": " << JsonString(SlotName(ops, pair.victim_slot))
-        << ", \"writer\": " << JsonString(SlotName(ops, pair.writer_slot))
-        << ", \"aborts\": " << pair.aborts << "}";
-  }
-  out << "]\n";
-  out << indent << "}";
-}
-
-}  // namespace
-
 void WriteJson(std::ostream& out, const BenchmarkRunner& runner, const BenchResult& result) {
   const BenchConfig& config = runner.config();
   const auto& ops = runner.registry().all();
 
   out << "{\n";
-  out << "  \"schema\": " << kCsvSchemaVersion << ",\n";
+  out << "  \"schema\": " << kReportSchemaVersion << ",\n";
   out << "  \"config\": {\n";
   out << "    \"strategy\": " << JsonString(config.strategy) << ",\n";
   out << "    \"contention_manager\": " << JsonString(config.contention_manager) << ",\n";
@@ -492,7 +362,7 @@ void WriteJson(std::ostream& out, const BenchmarkRunner& runner, const BenchResu
     out << "  \"trace\": {\n";
     out << "    \"dropped_events\": " << result.trace_events_dropped << ",\n";
     out << "    \"conflicts\": ";
-    WriteConflictsJson(out, result.conflicts, ops, "    ");
+    WriteConflictsJson(out, result.conflicts, runner.registry(), "    ");
     out << ",\n    \"latency_by_op\": [";
     bool first_slot = true;
     for (size_t slot = 0; slot < result.latency_by_op.size(); ++slot) {
@@ -502,7 +372,7 @@ void WriteJson(std::ostream& out, const BenchmarkRunner& runner, const BenchResu
       }
       out << (first_slot ? "\n" : ",\n");
       first_slot = false;
-      out << "      {\"op\": " << JsonString(SlotName(ops, static_cast<int>(slot)))
+      out << "      {\"op\": " << JsonString(runner.registry().SlotName(static_cast<int>(slot)))
           << ", \"attempts\": " << lat.attempts << ", \"commits\": " << lat.commits
           << ", \"aborts\": " << lat.aborts << ", \"read_nanos\": " << lat.read_nanos
           << ", \"validation_nanos\": " << lat.validation_nanos
@@ -575,7 +445,7 @@ void WriteJson(std::ostream& out, const BenchmarkRunner& runner, const BenchResu
       WriteStmJson(out, phase.stm, "      ");
       if (result.traced) {
         out << ",\n      \"conflicts\": ";
-        WriteConflictsJson(out, phase.conflicts, ops, "      ");
+        WriteConflictsJson(out, phase.conflicts, runner.registry(), "      ");
       }
       out << "\n    }";
     }

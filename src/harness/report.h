@@ -12,19 +12,18 @@ namespace sb7 {
 
 void PrintReport(std::ostream& out, const BenchmarkRunner& runner, const BenchResult& result);
 
-// Machine-readable CSV (schema 3): '#'-prefixed metadata lines (including
-// the per-cause abort breakdown), then one row per enabled operation (name,
-// category, read_only, configured ratio, completed, failed,
-// max/mean/p50/p90/p99/p99.9 latency in ms and started throughput) and a
-// TOTAL row. Scenario runs append a per-phase section (one row per phase
-// with throughput, queue-delay percentiles, backlog and STM — including
-// validation/kill/abort-cause — and hotspot deltas).
-void WriteCsv(std::ostream& out, const BenchmarkRunner& runner, const BenchResult& result);
-
-// Machine-readable JSON mirroring the CSV content: config and totals as one
-// object, per-operation rows as an array, and — for scenario runs — one
-// block per phase (including open-loop queue-delay percentiles).
+// The machine-readable run report (`--json`, schema 3): config and totals
+// as one object, the run-level STM block (with the per-cause abort
+// breakdown), the trace block under --trace, one row per enabled operation
+// (ratio, completed, failed, max/mean/p50/p90/p99/p99.9 latency in ms and
+// started throughput) and — for scenario runs — one block per phase
+// (throughput, open-loop queue-delay percentiles, backlog, hotspot and STM
+// deltas).
 void WriteJson(std::ostream& out, const BenchmarkRunner& runner, const BenchResult& result);
+
+// The STM counter block shared by the run report and the BENCH artifact
+// (`sb7-bench`): an object whose continuation lines start with `indent`.
+void WriteStmJson(std::ostream& out, const StmStats::View& stm, const char* indent);
 
 }  // namespace sb7
 

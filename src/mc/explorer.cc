@@ -31,10 +31,11 @@ bool InSet(const std::vector<int>& set, int tid) {
 // (empty for the root run). Past the prefix the default policy picks the
 // previous thread when possible (fewest context switches), else the lowest
 // enabled non-sleeping tid, recording branch points for the skipped
-// siblings. Returns the completed trace; appends new branch points.
+// siblings. Returns the completed trace; appends new branch points and
+// counts sleep-blocked drains and bound-pruned branches into `result`.
 ScheduleTrace RunOne(const Litmus& litmus, const ExploreOptions& options,
                      const std::vector<int>& choices, const std::vector<int>& branch_sleep,
-                     std::vector<BranchPoint>* stack, uint64_t* sleep_blocked) {
+                     std::vector<BranchPoint>* stack, ExploreResult* result) {
   ScheduleTrace trace;
   trace.litmus = litmus.name;
   McScheduler scheduler(litmus.bodies);
@@ -94,7 +95,7 @@ ScheduleTrace RunOne(const Litmus& litmus, const ExploreOptions& options,
       if (best < 0) {
         // Every enabled thread sleeps: all continuations commute into
         // already-explored schedules. Drain without recording.
-        ++*sleep_blocked;
+        ++result->sleep_blocked;
         recording = false;
         scheduler.FreeRun(options.free_run_hard_cap);
         break;
@@ -113,6 +114,7 @@ ScheduleTrace RunOne(const Litmus& litmus, const ExploreOptions& options,
         }
         const bool preempts = last_tid >= 0 && tid != last_tid && InSet(enabled, last_tid);
         if (options.switch_bound >= 0 && preempts && switches >= options.switch_bound) {
+          ++result->bound_pruned;
           continue;
         }
         std::vector<int> prefix;
@@ -160,15 +162,14 @@ ScheduleTrace RunOne(const Litmus& litmus, const ExploreOptions& options,
   return trace;
 }
 
-}  // namespace
-
-ExploreResult Explore(const Litmus& litmus, const ExploreOptions& options) {
-  ExploreResult result;
+// One DFS at `options.switch_bound`, counting into `result`; the schedule
+// budget covers what `result` already holds.
+void ExploreInto(const Litmus& litmus, const ExploreOptions& options, ExploreResult* result) {
   std::vector<BranchPoint> stack;
   stack.push_back(BranchPoint{{}, -1, {}});
   while (!stack.empty()) {
-    if (result.schedules >= options.max_schedules) {
-      result.budget_exhausted = true;
+    if (result->schedules >= options.max_schedules) {
+      result->budget_exhausted = true;
       break;
     }
     BranchPoint branch = std::move(stack.back());
@@ -181,18 +182,15 @@ ExploreResult Explore(const Litmus& litmus, const ExploreOptions& options) {
     if (!options.sleep_sets) {
       effective_sleep.clear();
     }
-    uint64_t sleep_blocked = 0;
-    ScheduleTrace trace =
-        RunOne(litmus, options, choices, effective_sleep, &stack, &sleep_blocked);
-    ++result.schedules;
-    result.sleep_blocked += sleep_blocked;
+    ScheduleTrace trace = RunOne(litmus, options, choices, effective_sleep, &stack, result);
+    ++result->schedules;
     if (trace.truncated) {
-      ++result.truncated;
+      ++result->truncated;
     }
     if (trace.failed()) {
-      ++result.failures;
-      if (!result.first_failure) {
-        result.first_failure = trace;
+      ++result->failures;
+      if (!result->first_failure) {
+        result->first_failure = trace;
       }
     }
     std::vector<int> tids;
@@ -200,9 +198,29 @@ ExploreResult Explore(const Litmus& litmus, const ExploreOptions& options) {
     for (const ScheduleStep& step : trace.steps) {
       tids.push_back(step.tid);
     }
-    result.schedule_tids.push_back(std::move(tids));
+    result->schedule_tids.push_back(std::move(tids));
   }
+}
+
+}  // namespace
+
+ExploreResult Explore(const Litmus& litmus, const ExploreOptions& options) {
+  ExploreResult result;
+  ExploreInto(litmus, options, &result);
   return result;
+}
+
+ExploreResult ExploreIterativeBounds(const Litmus& litmus, const ExploreOptions& options) {
+  ExploreResult result;
+  ExploreOptions round = options;
+  for (round.switch_bound = 0;; ++round.switch_bound) {
+    result.bound = round.switch_bound;
+    result.bound_pruned = 0;
+    ExploreInto(litmus, round, &result);
+    if (result.failures > 0 || result.budget_exhausted || result.bound_pruned == 0) {
+      return result;
+    }
+  }
 }
 
 ScheduleTrace Replay(const Litmus& litmus, const std::vector<ReplayStep>& steps,

@@ -19,6 +19,11 @@
 /// a still-enabled thread past the bound are not recorded). Every completed
 /// execution is checked: model-level violations from the scheduler (races,
 /// use-after-free), plus the litmus's own end-state predicate.
+///
+/// The DFS pops the latest branch point first, so an unbounded search spends
+/// its budget on late preemptions. `ExploreIterativeBounds` instead explores
+/// bound 0, 1, 2, ... in turn (iterative context bounding), which reaches a
+/// failure that needs few but early preemptions.
 
 #ifndef STMBENCH7_SRC_MC_EXPLORER_H_
 #define STMBENCH7_SRC_MC_EXPLORER_H_
@@ -58,7 +63,9 @@ struct ExploreResult {
   uint64_t truncated = 0;        // executions that hit the step bound
   uint64_t sleep_blocked = 0;    // runs drained at a fully-sleeping state
   uint64_t failures = 0;         // executions that failed a check
+  uint64_t bound_pruned = 0;     // branch points the switch bound dropped
   bool budget_exhausted = false; // stopped by max_schedules
+  int bound = -1;                // ExploreIterativeBounds: last bound explored
   /// First failing schedule, kept for replay emission.
   std::optional<ScheduleTrace> first_failure;
   /// Granted tids of every explored schedule, in exploration order;
@@ -69,6 +76,15 @@ struct ExploreResult {
 
 /// Explores `litmus` under `options`.
 ExploreResult Explore(const Litmus& litmus, const ExploreOptions& options);
+
+/// Explores `litmus` at preemption bound 0, 1, 2, ... in turn, each bound
+/// exhaustively, all bounds sharing `options.max_schedules`
+/// (`options.switch_bound` is ignored). Stops after the first bound with a
+/// failing schedule, when the budget runs out, or after a bound that pruned
+/// no branch point: that search was already the unbounded one, so the next
+/// bound would add no schedules. Counters and `schedule_tids` accumulate
+/// over the bounds.
+ExploreResult ExploreIterativeBounds(const Litmus& litmus, const ExploreOptions& options);
 
 /// One step of a trace as read back from a trace file: addresses do not
 /// survive a process boundary, so the operand is carried as its symbolic

@@ -49,11 +49,12 @@ struct Litmus {
   bool expect_violation = false;
   /// Part of the smoke tier (fast, bounded exploration in CI's mc_smoke).
   bool smoke = true;
-  /// Preemption bound in the smoke and default tiers (`--full` and
-  /// `--switch-bound` override it); -1 = unbounded. Unbounded DFS spends its
-  /// budget on preemptions late in the schedule, so a litmus whose failure
-  /// needs an early one sets the bound that failure needs, which makes the
-  /// exploration exhaustive over it.
+  /// Preemption bound in the smoke and default tiers (`--switch-bound`
+  /// overrides it; `--full` explores bounds 0, 1, 2, ... in turn instead);
+  /// -1 = unbounded. Unbounded DFS spends its budget on preemptions late in
+  /// the schedule, so a litmus whose failure needs an early one sets the
+  /// bound that failure needs, which makes the exploration exhaustive over
+  /// it.
   int switch_bound = -1;
 
   /// Runs on the control thread before each execution: resets cell values,

@@ -27,8 +27,10 @@ std::string UsageText() {
   --litmus <name>        explore one litmus (repeatable); default: all
   --smoke                restrict to the smoke tier with tight bounds
                          (CI's mc_smoke label; <60s on one core)
-  --full                 lift the default bounds (and each litmus's own
-                         preemption bound) for a nightly-depth run
+  --full                 nightly depth: a larger budget, and instead of each
+                         litmus's own preemption bound, bounds 0, 1, 2, ...
+                         explored in turn (each exhaustively, sharing the
+                         budget) until one fails or adds nothing
   --max-schedules <n>    execution budget per litmus
   --max-steps <n>        recorded steps per execution (then free-runs)
   --switch-bound <n>     max preemptions per schedule; -1 = unbounded
@@ -237,13 +239,19 @@ int main(int argc, char** argv) {
     if (!options.full && !options.switch_bound_given) {
       explore.switch_bound = litmus->switch_bound;
     }
-    const sb7::mc::ExploreResult result = sb7::mc::Explore(*litmus, explore);
+    const bool iterative = options.full && !options.switch_bound_given;
+    const sb7::mc::ExploreResult result = iterative
+                                              ? sb7::mc::ExploreIterativeBounds(*litmus, explore)
+                                              : sb7::mc::Explore(*litmus, explore);
     const bool found = result.failures > 0;
     const bool ok = found == litmus->expect_violation;
     std::cout << (ok ? "PASS" : "FAIL") << " " << litmus->name << ": " << result.schedules
               << " schedules, " << result.failures << " failing, " << result.sleep_blocked
-              << " sleep-blocked, " << result.truncated << " truncated"
-              << (result.budget_exhausted ? " (budget exhausted)" : "") << "\n";
+              << " sleep-blocked, " << result.truncated << " truncated";
+    if (iterative) {
+      std::cout << ", preemption bounds 0.." << result.bound;
+    }
+    std::cout << (result.budget_exhausted ? " (budget exhausted)" : "") << "\n";
     if (!ok) {
       ++mismatches;
       if (litmus->expect_violation) {

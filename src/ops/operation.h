@@ -104,6 +104,9 @@ class OperationRegistry {
   const std::vector<std::unique_ptr<Operation>>& all() const { return operations_; }
   // nullptr if no operation has that name.
   const Operation* Find(std::string_view name) const;
+  // Name of a tracer op slot: slot i+1 is operation i; slot 0 (activity
+  // outside any operation: setup, tests) and out-of-range slots are "(none)".
+  std::string SlotName(int slot) const;
 
  private:
   std::vector<std::unique_ptr<Operation>> operations_;

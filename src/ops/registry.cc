@@ -35,4 +35,11 @@ const Operation* OperationRegistry::Find(std::string_view name) const {
   return nullptr;
 }
 
+std::string OperationRegistry::SlotName(int slot) const {
+  if (slot <= 0 || static_cast<size_t>(slot) > operations_.size()) {
+    return "(none)";
+  }
+  return operations_[slot - 1]->name();
+}
+
 }  // namespace sb7

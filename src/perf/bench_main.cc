@@ -10,9 +10,9 @@
 #include <map>
 #include <sstream>
 
+#include "src/common/json.h"
 #include "src/common/text.h"
 #include "src/perf/compare.h"
-#include "src/perf/json.h"
 #include "src/perf/report.h"
 #include "src/perf/runner.h"
 #include "src/perf/stats.h"
@@ -247,9 +247,9 @@ void ApplyOverrides(sb7::perf::SweepSpec& spec, const Options& options) {
   }
 }
 
-// Validates that a file parses with the in-tree JSON parser (src/perf/json).
-// Used by CI on the emitted --trace timelines: a malformed timeline would
-// otherwise only fail when a human loads it into Perfetto.
+// Validates that a file parses with the in-tree JSON parser (src/common/json).
+// Used by CI on the emitted --trace timelines and `stmbench7 --json` run
+// reports: a malformed document would otherwise only fail in its consumer.
 int RunValidateJson(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -258,7 +258,7 @@ int RunValidateJson(const std::string& path) {
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const sb7::perf::JsonParseResult parsed = sb7::perf::ParseJson(buffer.str());
+  const sb7::JsonParseResult parsed = sb7::ParseJson(buffer.str());
   if (!parsed.ok()) {
     std::cerr << "INVALID JSON in " << path << ": " << parsed.error << "\n";
     return 1;

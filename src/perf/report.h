@@ -1,8 +1,8 @@
 /// \file
 /// Sweep result serialization: the versioned `BENCH_<sweep>.json` artifact
-/// (schema pinned by tests/perf_test.cc, following the CSV `schema=3`
-/// discipline of the harness reports) and the human-readable comparison
-/// table printed after every run.
+/// (schema pinned by tests/perf_test.cc, versioned like the `stmbench7
+/// --json` run report) and the human-readable comparison table printed
+/// after every run.
 ///
 /// BENCH schema 2, top-level keys:
 ///   schema   integer, currently 2

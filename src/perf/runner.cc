@@ -192,17 +192,10 @@ RepSample CollectRep(const SweepSpec& spec, const BenchmarkRunner& runner,
     sample.conflicts.attributed_aborts = result.conflicts.attributed_aborts;
     sample.conflicts.dropped_events = result.trace_events_dropped;
     sample.conflicts.top_locations = result.conflicts.top_locations;
-    const auto& ops = runner.registry().all();
-    auto slot_name = [&ops](int slot) -> std::string {
-      if (slot <= 0 || static_cast<size_t>(slot) > ops.size()) {
-        return "(none)";
-      }
-      return ops[slot - 1]->name();
-    };
     for (const trace::ConflictPair& pair : result.conflicts.top_pairs) {
       NamedConflictPair named;
-      named.victim = slot_name(pair.victim_slot);
-      named.writer = slot_name(pair.writer_slot);
+      named.victim = runner.registry().SlotName(pair.victim_slot);
+      named.writer = runner.registry().SlotName(pair.writer_slot);
       named.aborts = pair.aborts;
       sample.conflicts.top_pairs.push_back(std::move(named));
     }

@@ -248,7 +248,8 @@ ScenarioParseResult ParseScenarioSpec(std::istream& in, std::string_view default
     }
 
     if (key == "phase") {
-      // Phase names land verbatim in CSV cells; keep them delimiter-free.
+      // Phase names are bare labels (text report, telemetry series); keep
+      // them free of ',' and '"' so every reader can take one as a token.
       if (value.find_first_of(",\"") != std::string::npos) {
         return fail(line_number, "phase name must not contain ',' or '\"'");
       }

@@ -1,11 +1,12 @@
 #include "src/telemetry/series.h"
 
+#include <initializer_list>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
 #include "src/common/diag.h"
-#include "src/perf/json.h"
+#include "src/common/json.h"
 
 namespace sb7::telemetry {
 
@@ -54,40 +55,6 @@ int64_t SeriesRing::dropped() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return dropped_;
 }
-
-namespace {
-
-std::string JsonString(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 std::string SampleToJson(const Sample& sample) {
   std::ostringstream out;
@@ -151,6 +118,18 @@ std::string LineError(size_t line, const std::string& message) {
   return "line " + std::to_string(line) + ": " + message;
 }
 
+// The first of `keys` that `object` lacks as a value of `kind`, or nullptr.
+const char* MissingKey(const JsonValue& object, std::initializer_list<const char*> keys,
+                       JsonValue::Kind kind) {
+  for (const char* key : keys) {
+    const JsonValue* value = object.Find(key);
+    if (value == nullptr || value->kind() != kind) {
+      return key;
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 std::string ValidateTelemetryJsonl(std::istream& in) {
@@ -169,15 +148,15 @@ std::string ValidateTelemetryJsonl(std::istream& in) {
     if (saw_footer) {
       return LineError(line_no, "content after the footer record");
     }
-    const perf::JsonParseResult parsed = perf::ParseJson(line);
+    const JsonParseResult parsed = ParseJson(line);
     if (!parsed.error.empty()) {
       return LineError(line_no, "invalid JSON: " + parsed.error);
     }
-    const perf::JsonValue& record = parsed.value;
+    const JsonValue& record = parsed.value;
     if (!record.is_object()) {
       return LineError(line_no, "record is not an object");
     }
-    const perf::JsonValue* kind = record.Find("kind");
+    const JsonValue* kind = record.Find("kind");
     if (kind == nullptr || !kind->is_string()) {
       return LineError(line_no, "missing \"kind\"");
     }
@@ -185,7 +164,7 @@ std::string ValidateTelemetryJsonl(std::istream& in) {
       if (kind->AsString() != "header") {
         return LineError(line_no, "first record must be the header");
       }
-      const perf::JsonValue* schema = record.Find("schema");
+      const JsonValue* schema = record.Find("schema");
       if (schema == nullptr || !schema->is_number()) {
         return LineError(line_no, "header lacks a numeric \"schema\"");
       }
@@ -193,19 +172,15 @@ std::string ValidateTelemetryJsonl(std::istream& in) {
       if (version < 1 || version > kTelemetrySchemaVersion) {
         return LineError(line_no, "unsupported schema version " + std::to_string(version));
       }
-      for (const char* key : {"backend", "scenario", "scale"}) {
-        const perf::JsonValue* value = record.Find(key);
-        if (value == nullptr || !value->is_string()) {
-          return LineError(line_no, std::string("header lacks string \"") + key + "\"");
-        }
+      if (const char* key =
+              MissingKey(record, {"backend", "scenario", "scale"}, JsonValue::Kind::kString)) {
+        return LineError(line_no, std::string("header lacks string \"") + key + "\"");
       }
-      for (const char* key : {"threads", "interval_s"}) {
-        const perf::JsonValue* value = record.Find(key);
-        if (value == nullptr || !value->is_number()) {
-          return LineError(line_no, std::string("header lacks numeric \"") + key + "\"");
-        }
+      if (const char* key =
+              MissingKey(record, {"threads", "interval_s"}, JsonValue::Kind::kNumber)) {
+        return LineError(line_no, std::string("header lacks numeric \"") + key + "\"");
       }
-      const perf::JsonValue* fields = record.Find("stats_fields");
+      const JsonValue* fields = record.Find("stats_fields");
       if (fields == nullptr || !fields->is_array()) {
         return LineError(line_no, "header lacks the \"stats_fields\" array");
       }
@@ -213,7 +188,7 @@ std::string ValidateTelemetryJsonl(std::istream& in) {
       continue;
     }
     if (kind->AsString() == "footer") {
-      const perf::JsonValue* count = record.Find("samples");
+      const JsonValue* count = record.Find("samples");
       if (count == nullptr || !count->is_number()) {
         return LineError(line_no, "footer lacks a numeric \"samples\"");
       }
@@ -222,7 +197,7 @@ std::string ValidateTelemetryJsonl(std::istream& in) {
                                       std::to_string(static_cast<int64_t>(count->AsNumber())) +
                                       " != " + std::to_string(samples) + " sample records");
       }
-      if (const perf::JsonValue* drops = record.Find("samples_dropped");
+      if (const JsonValue* drops = record.Find("samples_dropped");
           drops == nullptr || !drops->is_number()) {
         return LineError(line_no, "footer lacks a numeric \"samples_dropped\"");
       }
@@ -232,22 +207,19 @@ std::string ValidateTelemetryJsonl(std::istream& in) {
     if (kind->AsString() != "sample") {
       return LineError(line_no, "unknown record kind \"" + kind->AsString() + "\"");
     }
-    for (const char* key : {"seq", "t_s", "interval_s", "phase_index", "started",
-                            "completed", "failed", "ops_per_s", "trace_dropped"}) {
-      const perf::JsonValue* value = record.Find(key);
-      if (value == nullptr || !value->is_number()) {
-        return LineError(line_no, std::string("sample lacks numeric \"") + key + "\"");
-      }
+    if (const char* key = MissingKey(record,
+                                     {"seq", "t_s", "interval_s", "phase_index", "started",
+                                      "completed", "failed", "ops_per_s", "trace_dropped"},
+                                     JsonValue::Kind::kNumber)) {
+      return LineError(line_no, std::string("sample lacks numeric \"") + key + "\"");
     }
-    const perf::JsonValue* latency = record.Find("latency_ms");
+    const JsonValue* latency = record.Find("latency_ms");
     if (latency == nullptr || !latency->is_object()) {
       return LineError(line_no, "sample lacks the \"latency_ms\" object");
     }
-    for (const char* key : {"count", "p50", "p90", "p99", "p999", "max"}) {
-      const perf::JsonValue* value = latency->Find(key);
-      if (value == nullptr || !value->is_number()) {
-        return LineError(line_no, std::string("latency_ms lacks numeric \"") + key + "\"");
-      }
+    if (const char* key = MissingKey(*latency, {"count", "p50", "p90", "p99", "p999", "max"},
+                                     JsonValue::Kind::kNumber)) {
+      return LineError(line_no, std::string("latency_ms lacks numeric \"") + key + "\"");
     }
     const auto seq = static_cast<int64_t>(record.Find("seq")->AsNumber());
     const double t_s = record.Find("t_s")->AsNumber();

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/common/json.h"
 #include "src/common/timing.h"
 
 namespace sb7::telemetry {
@@ -258,8 +259,9 @@ std::string Telemetry::RenderSeriesJson() const {
   const std::vector<Sample> samples = ring_.Snapshot();
   std::ostringstream out;
   out.precision(12);
-  out << "{\"schema\": " << kTelemetrySchemaVersion << ", \"backend\": \""
-      << run_info_.backend << "\", \"interval_s\": " << run_info_.interval_s
+  out << "{\"schema\": " << kTelemetrySchemaVersion
+      << ", \"backend\": " << JsonString(run_info_.backend)
+      << ", \"interval_s\": " << run_info_.interval_s
       << ", \"samples_dropped\": " << ring_.dropped() << ", \"samples\": [";
   for (size_t i = 0; i < samples.size(); ++i) {
     out << (i == 0 ? "" : ", ") << SampleToJson(samples[i]);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "src/common/json.h"
+
 namespace sb7::trace {
 namespace {
 
@@ -22,15 +24,6 @@ const char* CauseColor(AbortCause cause) {
       break;
   }
   return "grey";
-}
-
-void AppendEscaped(std::string& out, std::string_view text) {
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
 }
 
 std::string MicrosString(int64_t nanos) {
@@ -111,24 +104,19 @@ void WriteChromeTrace(std::ostream& out, const std::vector<Tracer::ThreadStream>
           }
           open = false;
           const bool committed = event.kind == EventKind::kCommit;
-          std::string name;
-          if (committed) {
-            name = writer.OpName(begin.op);
-          } else {
-            name = writer.OpName(begin.op);
+          std::string name = writer.OpName(begin.op);
+          if (!committed) {
             name += " abort:";
             name += AbortCauseName(event.cause);
           }
           std::string body = "\"ph\": \"X\", \"pid\": 1, \"tid\": " + tid +
                              ", \"ts\": " + MicrosString(begin.nanos - t0) +
                              ", \"dur\": " + MicrosString(event.nanos - begin.nanos) +
-                             ", \"name\": \"";
-          AppendEscaped(body, name);
-          body += "\", \"cat\": \"tx\", \"cname\": \"";
+                             ", \"name\": " + JsonString(name) +
+                             ", \"cat\": \"tx\", \"cname\": \"";
           body += committed ? "good" : CauseColor(event.cause);
-          body += "\", \"args\": {\"op\": \"";
-          AppendEscaped(body, writer.OpName(begin.op));
-          body += "\", \"outcome\": \"";
+          body += "\", \"args\": {\"op\": " + JsonString(writer.OpName(begin.op)) +
+                  ", \"outcome\": \"";
           body += committed ? "commit" : "abort";
           body += "\", \"retry\": " + std::to_string(event.arg);
           if (!committed) {

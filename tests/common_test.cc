@@ -1,4 +1,4 @@
-// Unit tests for src/common: RNG, histogram, text helpers, timing.
+// Unit tests for src/common: RNG, histogram, text helpers, timing, JSON.
 
 #include <gtest/gtest.h>
 
@@ -6,6 +6,7 @@
 
 #include "src/common/histogram.h"
 #include "src/common/hotspot.h"
+#include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/common/text.h"
 #include "src/common/timing.h"
@@ -335,6 +336,54 @@ TEST(TimingTest, StopwatchAdvances) {
   }
   EXPECT_GE(watch.ElapsedNanos(), 0);
   EXPECT_GE(NowNanos(), 0);
+}
+
+TEST(JsonTest, ParsesTheReportSubset) {
+  const JsonParseResult parsed = ParseJson(
+      R"({"a": 1.5, "b": [true, false, null], "c": {"nested": "x\ny"}, "d": -2e3})");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const JsonValue& doc = parsed.value;
+  EXPECT_DOUBLE_EQ(doc.Find("a")->AsNumber(), 1.5);
+  ASSERT_EQ(doc.Find("b")->Items().size(), 3u);
+  EXPECT_TRUE(doc.Find("b")->Items()[0].AsBool());
+  EXPECT_EQ(doc.Find("c")->Find("nested")->AsString(), "x\ny");
+  EXPECT_DOUBLE_EQ(doc.Find("d")->AsNumber(), -2000.0);
+  EXPECT_EQ(doc.Find("missing"), nullptr);
+}
+
+TEST(JsonTest, RejectsMalformedDocuments) {
+  EXPECT_FALSE(ParseJson("{").ok());
+  EXPECT_FALSE(ParseJson("{\"a\": }").ok());
+  EXPECT_FALSE(ParseJson("[1, 2,]").ok());
+  EXPECT_FALSE(ParseJson("{} trailing").ok());
+  EXPECT_FALSE(ParseJson("\"unterminated").ok());
+  EXPECT_FALSE(ParseJson("nul").ok());
+}
+
+// JsonString is the only escaper every JSON writer uses; whatever it emits,
+// ParseJson must read back byte-for-byte.
+TEST(JsonTest, ParserReadsBackEveryEscapedByte) {
+  for (int byte = 0x01; byte <= 0x7f; ++byte) {
+    const std::string text(1, static_cast<char>(byte));
+    const std::string quoted = JsonString(text);
+    const JsonParseResult parsed = ParseJson(quoted);
+    ASSERT_TRUE(parsed.ok()) << "byte " << byte << ": " << parsed.error;
+    ASSERT_TRUE(parsed.value.is_string()) << "byte " << byte;
+    EXPECT_EQ(parsed.value.AsString(), text) << "byte " << byte << " as " << quoted;
+  }
+}
+
+TEST(JsonTest, ParserReadsBackMixedQuotesBackslashesAndControls) {
+  for (const std::string& text :
+       {std::string(""), std::string("plain T1"), std::string("say \"hi\"\\n"),
+        std::string("C:\\dir\\\"x\"\\"), std::string("tab\there\nnew\rcr\x01\x1f\b\f"),
+        std::string("\\\"\n\"\\\t\x02"), std::string("utf-8 \xc3\xa9 stays")}) {
+    const std::string quoted = JsonString(text);
+    const JsonParseResult parsed = ParseJson(quoted);
+    ASSERT_TRUE(parsed.ok()) << quoted << ": " << parsed.error;
+    EXPECT_EQ(parsed.value.AsString(), text) << quoted;
+  }
+  EXPECT_EQ(JsonString("a\"b\\c\nd\te\x01"), "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
 }
 
 }  // namespace

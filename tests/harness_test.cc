@@ -6,6 +6,7 @@
 
 #include <sstream>
 
+#include "src/common/json.h"
 #include "src/core/invariants.h"
 #include "src/ebr/ebr.h"
 #include "src/harness/cli.h"
@@ -114,17 +115,24 @@ TEST(CliTest, ParsesJsonPath) {
   EXPECT_TRUE(Parse({"--json"}).error.has_value());
 }
 
-TEST(CliTest, ParsesReadRatioCsvAndVerify) {
+TEST(CliTest, ParsesReadRatioJsonAndVerify) {
   const CliResult result =
-      Parse({"--read-ratio", "0.75", "--csv", "/tmp/x.csv", "--verify"});
+      Parse({"--read-ratio", "0.75", "--json", "/tmp/x.json", "--verify"});
   ASSERT_FALSE(result.error.has_value());
   ASSERT_TRUE(result.config.read_fraction.has_value());
   EXPECT_DOUBLE_EQ(*result.config.read_fraction, 0.75);
-  EXPECT_EQ(result.config.csv_path, "/tmp/x.csv");
+  EXPECT_EQ(result.config.json_path, "/tmp/x.json");
   EXPECT_TRUE(result.config.verify_invariants);
   EXPECT_TRUE(Parse({"--read-ratio", "1.5"}).error.has_value());
   EXPECT_TRUE(Parse({"--read-ratio", "-0.1"}).error.has_value());
-  EXPECT_TRUE(Parse({"--csv"}).error.has_value());
+  EXPECT_TRUE(Parse({"--json"}).error.has_value());
+}
+
+TEST(CliTest, RejectsTheRetiredCsvFlag) {
+  // --json is the only machine-readable run report; --csv is unknown.
+  const CliResult result = Parse({"--csv", "/tmp/x.csv"});
+  ASSERT_TRUE(result.error.has_value());
+  EXPECT_NE(result.error->find("--csv"), std::string::npos) << *result.error;
 }
 
 TEST(CliTest, ParsesCorrectnessOracleModes) {
@@ -318,7 +326,7 @@ TEST(ReportTest, ContainsAllAppendixASections) {
   EXPECT_NE(text.find("== STM statistics =="), std::string::npos);
 }
 
-TEST(ReportTest, CsvHasMetadataRowsAndTotal) {
+TEST(ReportTest, JsonHasConfigStmBlockAndOperationRows) {
   BenchConfig config;
   config.strategy = "tinystm";
   config.scale = "tiny";
@@ -327,22 +335,25 @@ TEST(ReportTest, CsvHasMetadataRowsAndTotal) {
   BenchmarkRunner runner(config);
   const BenchResult result = runner.Run();
   std::ostringstream out;
-  WriteCsv(out, runner, result);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("# schema=3"), std::string::npos);
-  EXPECT_NE(text.find("# strategy=tinystm"), std::string::npos);
-  EXPECT_NE(text.find("# throughput_success="), std::string::npos);
-  EXPECT_NE(text.find("# stm_commits="), std::string::npos);
-  EXPECT_NE(text.find("# stm_aborts_read_validation="), std::string::npos);
-  // Schema 2 keeps the schema-1 column prefix and appends p99.9 and the
-  // started-throughput column.
-  EXPECT_NE(text.find("op,category,read_only,ratio,completed,failed,max_ms,mean_ms,p50_ms,"
-                      "p90_ms,p99_ms,p999_ms,started_per_s"),
-            std::string::npos);
-  EXPECT_NE(text.find("\nT1,"), std::string::npos);
-  EXPECT_NE(text.find("\nTOTAL,"), std::string::npos);
-  // Plain runs carry no per-phase section.
-  EXPECT_EQ(text.find("\nphase,"), std::string::npos);
+  WriteJson(out, runner, result);
+  const JsonParseResult parsed = ParseJson(out.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const JsonValue& doc = parsed.value;
+  EXPECT_EQ(doc.Find("schema")->AsNumber(), 3.0);
+  EXPECT_EQ(doc.Find("config")->Find("strategy")->AsString(), "tinystm");
+  EXPECT_TRUE(doc.Find("throughput_success")->is_number());
+  ASSERT_NE(doc.Find("stm"), nullptr);
+  EXPECT_TRUE(doc.Find("stm")->Find("commits")->is_number());
+  EXPECT_TRUE(doc.Find("stm")->Find("abort_causes")->Find("read_validation")->is_number());
+  bool saw_t1 = false;
+  for (const JsonValue& op : doc.Find("operations")->Items()) {
+    saw_t1 = saw_t1 || op.Find("op")->AsString() == "T1";
+    EXPECT_TRUE(op.Find("p999_ms")->is_number());
+    EXPECT_TRUE(op.Find("started_per_s")->is_number());
+  }
+  EXPECT_TRUE(saw_t1);
+  // Plain runs carry no per-phase blocks.
+  EXPECT_EQ(doc.Find("phases"), nullptr);
 }
 
 TEST(ReportTest, ScenarioRunReportsEveryPhaseInAllFormats) {
@@ -367,14 +378,6 @@ TEST(ReportTest, ScenarioRunReportsEveryPhaseInAllFormats) {
   EXPECT_NE(text.find("zipf=0.99"), std::string::npos);
   EXPECT_NE(text.find("== Summary results =="), std::string::npos);  // combined total
 
-  std::ostringstream csv;
-  WriteCsv(csv, runner, result);
-  const std::string csv_text = csv.str();
-  EXPECT_NE(csv_text.find("# scenario=hotspot"), std::string::npos);
-  EXPECT_NE(csv_text.find("phase,arrival,threads,read_fraction,zipf_theta"), std::string::npos);
-  EXPECT_NE(csv_text.find("\nuniform,closed,"), std::string::npos);
-  EXPECT_NE(csv_text.find("\nhot,closed,"), std::string::npos);
-
   std::ostringstream json;
   WriteJson(json, runner, result);
   const std::string json_text = json.str();
@@ -382,6 +385,19 @@ TEST(ReportTest, ScenarioRunReportsEveryPhaseInAllFormats) {
   EXPECT_NE(json_text.find("\"phases\": ["), std::string::npos);
   EXPECT_NE(json_text.find("\"queue_delay_ms\""), std::string::npos);
   EXPECT_NE(json_text.find("\"p999_ms\""), std::string::npos);
+  const JsonParseResult parsed = ParseJson(json_text);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  EXPECT_EQ(parsed.value.Find("config")->Find("scenario")->AsString(), "hotspot");
+  const JsonValue* phases = parsed.value.Find("phases");
+  ASSERT_NE(phases, nullptr);
+  ASSERT_EQ(phases->Items().size(), 2u);
+  EXPECT_EQ(phases->Items()[0].Find("name")->AsString(), "uniform");
+  EXPECT_EQ(phases->Items()[1].Find("name")->AsString(), "hot");
+  for (const JsonValue& phase : phases->Items()) {
+    EXPECT_EQ(phase.Find("arrival")->AsString(), "closed");
+    EXPECT_TRUE(phase.Find("read_fraction")->is_number());
+    EXPECT_TRUE(phase.Find("zipf_theta")->is_number());
+  }
 }
 
 TEST(WorkloadOverrideTest, CustomReadFractionShiftsTheMix) {

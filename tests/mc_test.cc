@@ -120,6 +120,83 @@ TEST(McExplorerTest, SwitchBoundPrunesPreemptiveSchedules) {
   EXPECT_EQ(few.failures, 0u);
 }
 
+// A racy litmus whose violation needs one preemption at an early branch
+// point: T0 publishes x = 1 and retracts it at once, then writes z many
+// times; T1 reads z a few times, then x. T1 sees x == 1 only when all of it
+// runs inside T0's two-step window, right after T0's first step. The z
+// accesses conflict, so sleep sets cannot collapse the late interleavings
+// that a latest-branch-first DFS explores before it backtracks that far.
+struct EarlyWindowCells {
+  sp::AtomicU64 x{0}, z{0};
+  uint64_t seen = 0;
+};
+
+Litmus MakeEarlyWindowLitmus(const std::shared_ptr<EarlyWindowCells>& cells) {
+  constexpr int kWriterFill = 12;
+  constexpr int kReaderFill = 6;
+  Litmus litmus;
+  litmus.name = "test-early-window";
+  litmus.expect_violation = true;
+  litmus.setup = [cells] {
+    // mo: relaxed — single-threaded reset from the control thread.
+    cells->x.store(0, std::memory_order_relaxed);
+    cells->z.store(0, std::memory_order_relaxed);
+    cells->seen = 0;
+  };
+  litmus.bodies = {
+      [cells] {
+        cells->x.store(1, std::memory_order_relaxed);
+        cells->x.store(0, std::memory_order_relaxed);
+        for (int i = 1; i <= kWriterFill; ++i) {
+          cells->z.store(i, std::memory_order_relaxed);
+        }
+      },
+      [cells] {
+        for (int i = 0; i < kReaderFill; ++i) {
+          (void)cells->z.load(std::memory_order_relaxed);
+        }
+        cells->seen = cells->x.load(std::memory_order_relaxed);
+      },
+  };
+  litmus.check = [cells]() -> std::string {
+    return cells->seen == 1 ? "reader saw the retracted x == 1" : "";
+  };
+  return litmus;
+}
+
+TEST(McExplorerTest, IterativeBoundsFindAnEarlyPreemptionUnboundedDfsMisses) {
+  auto cells = std::make_shared<EarlyWindowCells>();
+  const Litmus litmus = MakeEarlyWindowLitmus(cells);
+  ExploreOptions options = SmokeOptions();
+  options.max_schedules = 2000;
+
+  const ExploreResult unbounded = Explore(litmus, options);
+  EXPECT_EQ(unbounded.failures, 0u);
+  EXPECT_TRUE(unbounded.budget_exhausted);
+
+  const ExploreResult iterative = ExploreIterativeBounds(litmus, options);
+  EXPECT_GT(iterative.failures, 0u);
+  EXPECT_EQ(iterative.bound, 1);
+  EXPECT_LE(iterative.schedules, options.max_schedules);
+  ASSERT_TRUE(iterative.first_failure.has_value());
+  EXPECT_EQ(iterative.first_failure->check_failure, "reader saw the retracted x == 1");
+}
+
+TEST(McExplorerTest, IterativeBoundsStopWhenABoundPrunesNothing) {
+  // A clean litmus small enough to explore whole: the rounds end at the
+  // first bound that dropped no branch point, within the budget, and the
+  // last round covers every schedule the unbounded search finds.
+  const Litmus& litmus = Registered("dpor-2x2");
+  const ExploreResult unbounded = Explore(litmus, SmokeOptions());
+  ASSERT_FALSE(unbounded.budget_exhausted);
+  const ExploreResult iterative = ExploreIterativeBounds(litmus, SmokeOptions());
+  EXPECT_FALSE(iterative.budget_exhausted);
+  EXPECT_EQ(iterative.failures, 0u);
+  EXPECT_EQ(iterative.bound_pruned, 0u);
+  EXPECT_GE(iterative.bound, 1);
+  EXPECT_GE(iterative.schedules, unbounded.schedules);
+}
+
 TEST(McRegressionTest, AstmPriorityRaceIsPinned) {
   // The historical bug: exploration must *deterministically* find the racy
   // pair — no luck of OS timing involved.

@@ -1,6 +1,5 @@
 // Tests for the benchmark-orchestration subsystem (src/perf/):
 //  - the numeric helpers and the SB7_BENCH_* environment knobs,
-//  - the minimal JSON parser that --compare relies on,
 //  - the sweep-spec parser and its validation errors,
 //  - the bench/specs/ files staying pinned to the built-in sweeps,
 //  - a golden test pinning the BENCH_*.json schema (top-level key set, axes
@@ -14,8 +13,8 @@
 #include <set>
 #include <sstream>
 
+#include "src/common/json.h"
 #include "src/perf/compare.h"
-#include "src/perf/json.h"
 #include "src/perf/report.h"
 #include "src/perf/runner.h"
 #include "src/perf/stats.h"
@@ -115,30 +114,6 @@ TEST(PerfStatsTest, BenchEnvParsesThreadLists) {
   unsetenv("SB7_BENCH_SECONDS");
   EXPECT_TRUE(bad.threads.empty());
   EXPECT_DOUBLE_EQ(bad.seconds, 0.0);
-}
-
-// ----------------------------------------------------------------- json --
-
-TEST(PerfJsonTest, ParsesTheReportSubset) {
-  const JsonParseResult parsed = ParseJson(
-      R"({"a": 1.5, "b": [true, false, null], "c": {"nested": "x\ny"}, "d": -2e3})");
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
-  const JsonValue& doc = parsed.value;
-  EXPECT_DOUBLE_EQ(doc.Find("a")->AsNumber(), 1.5);
-  ASSERT_EQ(doc.Find("b")->Items().size(), 3u);
-  EXPECT_TRUE(doc.Find("b")->Items()[0].AsBool());
-  EXPECT_EQ(doc.Find("c")->Find("nested")->AsString(), "x\ny");
-  EXPECT_DOUBLE_EQ(doc.Find("d")->AsNumber(), -2000.0);
-  EXPECT_EQ(doc.Find("missing"), nullptr);
-}
-
-TEST(PerfJsonTest, RejectsMalformedDocuments) {
-  EXPECT_FALSE(ParseJson("{").ok());
-  EXPECT_FALSE(ParseJson("{\"a\": }").ok());
-  EXPECT_FALSE(ParseJson("[1, 2,]").ok());
-  EXPECT_FALSE(ParseJson("{} trailing").ok());
-  EXPECT_FALSE(ParseJson("\"unterminated").ok());
-  EXPECT_FALSE(ParseJson("nul").ok());
 }
 
 // ----------------------------------------------------------- spec parse --

@@ -1,17 +1,18 @@
-// Golden-output tests pinning the machine-readable report formats: the CSV
-// schema=3 layout (metadata keys, column headers, row shapes, the TOTAL row
-// and the per-phase section) and the JSON document (key set, nesting, and
-// syntactic well-formedness). Report refactors that would silently break
-// downstream parsers must fail here first — and bumping the schema must be a
-// deliberate, test-visible act.
+// Golden-output tests pinning the machine-readable run report (`stmbench7
+// --json`, schema 3): well-formedness through the in-tree JSON parser, the
+// key set of every block, and the document order of the top-level and
+// config keys. Report refactors that would silently break downstream parsers
+// must fail here first — and bumping the schema must be a deliberate,
+// test-visible act.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/harness/report.h"
 
 namespace sb7 {
@@ -37,81 +38,87 @@ const BenchResult& GoldenResult(const BenchmarkRunner** runner_out) {
   return *result;
 }
 
-std::vector<std::string> SplitLines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    lines.push_back(line);
+std::set<std::string> KeysOf(const JsonValue& object) {
+  std::set<std::string> keys;
+  for (const auto& [key, value] : object.Members()) {
+    keys.insert(key);
   }
-  return lines;
+  return keys;
 }
 
-int64_t CountChar(const std::string& text, char c) {
-  int64_t n = 0;
-  for (char x : text) {
-    if (x == c) {
-      ++n;
-    }
+// The parser keeps no member order, so document order is read off the text:
+// each key must first appear after the one before it.
+void ExpectKeysInOrder(const std::string& text, const std::vector<std::string>& keys) {
+  size_t at = 0;
+  for (const std::string& key : keys) {
+    const size_t found = text.find("\"" + key + "\": ", at);
+    ASSERT_NE(found, std::string::npos) << "key \"" << key << "\" missing or out of order";
+    at = found + 1;
   }
-  return n;
 }
 
-// The schema=3 contract, verbatim. Changing either string is a schema bump.
-constexpr const char* kOpHeader =
-    "op,category,read_only,ratio,completed,failed,max_ms,mean_ms,p50_ms,p90_ms,p99_ms,"
-    "p999_ms,started_per_s";
-constexpr const char* kPhaseHeader =
-    "phase,arrival,threads,read_fraction,zipf_theta,elapsed_s,completed,failed,"
-    "ops_per_s,started_per_s,target_rate,arrivals,delayed,backlog_peak,"
-    "qd_p50_ms,qd_p90_ms,qd_p99_ms,qd_p999_ms,qd_max_ms,"
-    "stm_commits,stm_aborts,stm_ro_aborts,stm_validation_steps,stm_kills,"
-    "stm_aborts_read_validation,stm_aborts_write_lock,stm_aborts_kill,"
-    "stm_aborts_snapshot_too_old,hot_hits,hot_samples";
+const std::set<std::string> kStmKeys = {
+    "starts", "commits", "aborts", "reads", "writes", "validation_steps", "bytes_cloned",
+    "kills", "ro_starts", "ro_commits", "ro_aborts", "abort_causes"};
+const std::set<std::string> kAbortCauseKeys = {"read_validation", "write_lock", "kill",
+                                               "snapshot_too_old", "unknown"};
 
-TEST(CsvGoldenTest, Schema3MetadataKeysAndColumnLayoutArePinned) {
+void ExpectStmBlock(const JsonValue* stm) {
+  ASSERT_NE(stm, nullptr);
+  EXPECT_EQ(KeysOf(*stm), kStmKeys);
+  const JsonValue* causes = stm->Find("abort_causes");
+  ASSERT_NE(causes, nullptr);
+  EXPECT_EQ(KeysOf(*causes), kAbortCauseKeys);
+}
+
+TEST(JsonGoldenTest, DocumentIsWellFormedAndKeySetIsPinned) {
   const BenchmarkRunner* runner = nullptr;
   const BenchResult& result = GoldenResult(&runner);
   std::ostringstream out;
-  WriteCsv(out, *runner, result);
-  const std::vector<std::string> lines = SplitLines(out.str());
-  ASSERT_GT(lines.size(), 10u);
+  WriteJson(out, *runner, result);
+  const std::string text = out.str();
 
-  // Metadata block: '#'-prefixed key=value lines, exact keys in exact order.
-  const std::vector<std::string> expected_keys = {
-      "schema",          "strategy",           "scale",
-      "workload",        "threads",            "seed",
-      "elapsed_seconds", "throughput_success", "throughput_started",
-      "stm_commits",     "stm_aborts",         "stm_validation_steps",
-      "stm_bytes_cloned", "stm_ro_aborts",     "stm_kills",
-      "stm_aborts_read_validation", "stm_aborts_write_lock", "stm_aborts_kill",
-      "stm_aborts_snapshot_too_old", "stm_aborts_unknown"};
-  size_t line_index = 0;
-  for (const std::string& key : expected_keys) {
-    ASSERT_LT(line_index, lines.size());
-    const std::string& line = lines[line_index++];
-    ASSERT_EQ(line.rfind("# ", 0), 0u) << line;
-    const size_t eq = line.find('=');
-    ASSERT_NE(eq, std::string::npos) << line;
-    EXPECT_EQ(line.substr(2, eq - 2), key);
-  }
-  EXPECT_EQ(lines[0], "# schema=3");
+  const JsonParseResult parsed = ParseJson(text);
+  ASSERT_TRUE(parsed.ok()) << "JSON output is not well-formed: " << parsed.error;
+  const JsonValue& doc = parsed.value;
+  ASSERT_TRUE(doc.is_object());
 
-  // Column header and row shapes.
-  EXPECT_EQ(lines[line_index], kOpHeader);
-  const int64_t expected_fields = CountChar(kOpHeader, ',');
-  bool saw_total = false;
-  for (size_t i = line_index + 1; i < lines.size(); ++i) {
-    EXPECT_EQ(CountChar(lines[i], ','), expected_fields) << lines[i];
-    if (lines[i].rfind("TOTAL,", 0) == 0) {
-      saw_total = true;
-      EXPECT_EQ(i, lines.size() - 1) << "TOTAL must be the last row of a plain run";
-    }
+  // Top-level and config keys, in document order. Plain runs carry no
+  // "phases" block and untraced runs no "trace" block.
+  ExpectKeysInOrder(text, {"schema", "config", "strategy", "contention_manager", "scale",
+                           "workload", "threads", "length_seconds", "seed", "elapsed_seconds",
+                           "total_success", "total_started", "throughput_success",
+                           "throughput_started", "stm", "operations"});
+  EXPECT_EQ(KeysOf(doc), (std::set<std::string>{"schema", "config", "elapsed_seconds",
+                                                "total_success", "total_started",
+                                                "throughput_success", "throughput_started",
+                                                "stm", "operations"}));
+  EXPECT_EQ(doc.Find("schema")->AsNumber(), 3.0);
+  EXPECT_NE(text.find("\"schema\": 3,"), std::string::npos);
+
+  const JsonValue* config = doc.Find("config");
+  ASSERT_NE(config, nullptr);
+  EXPECT_EQ(KeysOf(*config),
+            (std::set<std::string>{"strategy", "contention_manager", "scale", "workload",
+                                   "threads", "length_seconds", "seed"}));
+  EXPECT_EQ(config->Find("strategy")->AsString(), "tl2");
+
+  // The stm block carries the abort-cause breakdown.
+  ExpectStmBlock(doc.Find("stm"));
+
+  // Every per-operation row carries the full pinned key set.
+  const JsonValue* operations = doc.Find("operations");
+  ASSERT_NE(operations, nullptr);
+  ASSERT_FALSE(operations->Items().empty());
+  const std::set<std::string> op_keys = {
+      "op",      "category", "read_only", "ratio",  "completed", "failed",       "max_ms",
+      "mean_ms", "p50_ms",   "p90_ms",    "p99_ms", "p999_ms",   "started_per_s"};
+  for (const JsonValue& op : operations->Items()) {
+    EXPECT_EQ(KeysOf(op), op_keys) << op.Find("op")->AsString();
   }
-  EXPECT_TRUE(saw_total);
 }
 
-TEST(CsvGoldenTest, ScenarioRunsAppendThePinnedPhaseSection) {
+TEST(JsonGoldenTest, ScenarioDocumentCarriesThePinnedPhaseBlocks) {
   BenchConfig config;
   config.strategy = "mvstm";
   config.scale = "tiny";
@@ -119,7 +126,7 @@ TEST(CsvGoldenTest, ScenarioRunsAppendThePinnedPhaseSection) {
   config.length_seconds = 3600.0;
   config.seed = 7;
   Scenario scenario;
-  scenario.name = "golden";
+  scenario.name = "golden-json";
   for (int p = 0; p < 2; ++p) {
     PhaseSpec phase;
     phase.name = "g" + std::to_string(p);
@@ -132,147 +139,38 @@ TEST(CsvGoldenTest, ScenarioRunsAppendThePinnedPhaseSection) {
   const BenchResult result = runner.Run();
 
   std::ostringstream out;
-  WriteCsv(out, runner, result);
-  const std::vector<std::string> lines = SplitLines(out.str());
-  EXPECT_EQ(lines[0], "# schema=3");
-  ASSERT_NE(std::find(lines.begin(), lines.end(), "# scenario=golden"), lines.end());
-  ASSERT_NE(std::find(lines.begin(), lines.end(), "# phases=2"), lines.end());
-
-  const auto header = std::find(lines.begin(), lines.end(), kPhaseHeader);
-  ASSERT_NE(header, lines.end()) << "phase section header missing or drifted";
-  const int64_t expected_fields = CountChar(kPhaseHeader, ',');
-  // Exactly one row per phase, each with the pinned field count.
-  ASSERT_EQ(lines.end() - header, 3);
-  EXPECT_EQ((header + 1)->rfind("g0,closed,", 0), 0u) << *(header + 1);
-  EXPECT_EQ((header + 2)->rfind("g1,closed,", 0), 0u) << *(header + 2);
-  EXPECT_EQ(CountChar(*(header + 1), ','), expected_fields);
-  EXPECT_EQ(CountChar(*(header + 2), ','), expected_fields);
-}
-
-// Minimal JSON syntax walker: verifies balanced structure and collects the
-// keys seen at each nesting depth. Enough to pin the document shape without
-// a JSON library.
-bool WalkJson(const std::string& text, std::vector<std::string>& keys) {
-  std::vector<char> stack;
-  bool in_string = false;
-  std::string current;
-  bool key_position = true;
-  for (size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-        // A string followed (after whitespace) by ':' is a key.
-        size_t j = i + 1;
-        while (j < text.size() && (text[j] == ' ' || text[j] == '\n')) {
-          ++j;
-        }
-        if (key_position && j < text.size() && text[j] == ':') {
-          keys.push_back(current);
-        }
-      } else {
-        current += c;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        in_string = true;
-        current.clear();
-        break;
-      case '{':
-        stack.push_back('}');
-        key_position = true;
-        break;
-      case '[':
-        stack.push_back(']');
-        key_position = false;
-        break;
-      case '}':
-      case ']':
-        if (stack.empty() || stack.back() != c) {
-          return false;
-        }
-        stack.pop_back();
-        break;
-      case ':':
-        key_position = false;
-        break;
-      case ',':
-        key_position = stack.empty() ? false : stack.back() == '}';
-        break;
-      default:
-        break;
-    }
-  }
-  return stack.empty() && !in_string;
-}
-
-TEST(JsonGoldenTest, DocumentIsWellFormedAndKeySetIsPinned) {
-  const BenchmarkRunner* runner = nullptr;
-  const BenchResult& result = GoldenResult(&runner);
-  std::ostringstream out;
-  WriteJson(out, *runner, result);
-  const std::string text = out.str();
-
-  std::vector<std::string> keys;
-  ASSERT_TRUE(WalkJson(text, keys)) << "JSON output is not well-formed";
-
-  // Top-level and config keys, in document order.
-  const std::vector<std::string> expected_prefix = {
-      "schema", "config", "strategy", "contention_manager", "scale", "workload",
-      "threads", "length_seconds", "seed", "elapsed_seconds", "total_success",
-      "total_started", "throughput_success", "throughput_started", "stm"};
-  ASSERT_GE(keys.size(), expected_prefix.size());
-  for (size_t i = 0; i < expected_prefix.size(); ++i) {
-    EXPECT_EQ(keys[i], expected_prefix[i]) << "key #" << i << " drifted";
-  }
-  // Every per-operation row carries the full pinned key set.
-  for (const char* key : {"op", "category", "read_only", "ratio", "completed", "failed",
-                          "max_ms", "mean_ms", "p50_ms", "p90_ms", "p99_ms", "p999_ms",
-                          "started_per_s"}) {
-    EXPECT_NE(text.find("\"" + std::string(key) + "\": "), std::string::npos) << key;
-  }
-  EXPECT_NE(text.find("\"schema\": 3"), std::string::npos);
-  EXPECT_NE(text.find("\"abort_causes\""), std::string::npos)
-      << "stm block must carry the abort-cause breakdown";
-  EXPECT_EQ(text.find("\"phases\""), std::string::npos) << "plain runs carry no phase block";
-  EXPECT_EQ(text.find("\"trace\""), std::string::npos)
-      << "untraced runs carry no trace block";
-}
-
-TEST(JsonGoldenTest, ScenarioDocumentCarriesThePinnedPhaseBlock) {
-  BenchConfig config;
-  config.strategy = "tl2";
-  config.scale = "tiny";
-  config.threads = 1;
-  config.length_seconds = 3600.0;
-  config.seed = 11;
-  Scenario scenario;
-  scenario.name = "golden-json";
-  PhaseSpec phase;
-  phase.name = "only";
-  phase.max_ops = 50;
-  scenario.phases.push_back(phase);
-  config.scenario = scenario;
-  BenchmarkRunner runner(config);
-  const BenchResult result = runner.Run();
-
-  std::ostringstream out;
   WriteJson(out, runner, result);
   const std::string text = out.str();
-  std::vector<std::string> keys;
-  ASSERT_TRUE(WalkJson(text, keys));
-  for (const char* key :
-       {"phases", "name", "arrival", "threads", "read_fraction", "zipf_theta",
-        "hot_fraction", "elapsed_seconds", "completed", "started", "ops_per_s",
-        "started_per_s", "open_loop", "target_rate", "arrivals", "delayed",
-        "backlog_peak", "queue_delay_ms", "hotspot", "stm"}) {
-    EXPECT_NE(std::find(keys.begin(), keys.end(), key), keys.end()) << key;
+  const JsonParseResult parsed = ParseJson(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const JsonValue& doc = parsed.value;
+  EXPECT_EQ(doc.Find("schema")->AsNumber(), 3.0);
+  ExpectKeysInOrder(text, {"schema", "config", "workload", "scenario", "threads",
+                           "operations", "phases"});
+  EXPECT_EQ(doc.Find("config")->Find("scenario")->AsString(), "golden-json");
+
+  // Exactly one block per phase, in phase order, each with the pinned keys.
+  const JsonValue* phases = doc.Find("phases");
+  ASSERT_NE(phases, nullptr);
+  ASSERT_EQ(phases->Items().size(), 2u);
+  const std::set<std::string> phase_keys = {
+      "name",    "arrival", "threads",   "read_fraction", "zipf_theta",    "hot_fraction",
+      "elapsed_seconds",    "completed", "started",       "ops_per_s",     "started_per_s",
+      "open_loop",          "hotspot",   "stm"};
+  for (size_t p = 0; p < phases->Items().size(); ++p) {
+    const JsonValue& phase = phases->Items()[p];
+    EXPECT_EQ(KeysOf(phase), phase_keys);
+    EXPECT_EQ(phase.Find("name")->AsString(), "g" + std::to_string(p));
+    EXPECT_EQ(phase.Find("arrival")->AsString(), "closed");
+    const JsonValue* open_loop = phase.Find("open_loop");
+    ASSERT_NE(open_loop, nullptr);
+    EXPECT_EQ(KeysOf(*open_loop), (std::set<std::string>{"target_rate", "arrivals", "delayed",
+                                                         "backlog_peak", "queue_delay_ms"}));
+    EXPECT_EQ(KeysOf(*open_loop->Find("queue_delay_ms")),
+              (std::set<std::string>{"p50", "p90", "p99", "p999", "max"}));
+    EXPECT_EQ(KeysOf(*phase.Find("hotspot")), (std::set<std::string>{"hits", "samples"}));
+    ExpectStmBlock(phase.Find("stm"));
   }
-  EXPECT_NE(text.find("\"scenario\": \"golden-json\""), std::string::npos);
 }
 
 }  // namespace

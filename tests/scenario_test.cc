@@ -117,7 +117,7 @@ TEST(ScenarioSpecTest, RejectsMalformedSpecs) {
   // Errors carry the line number of the offending key.
   const ScenarioParseResult bad = ParseText("phase=p\nzipf=2\n");
   EXPECT_NE(bad.error.find("line 2"), std::string::npos) << bad.error;
-  // Phase names flow into CSV cells unquoted: delimiters are rejected.
+  // Phase names stay single tokens: delimiters are rejected.
   EXPECT_FALSE(ParseText("phase=storm,v2\n").scenario.has_value());
   EXPECT_FALSE(ParseText("phase=a\"b\n").scenario.has_value());
 }

@@ -31,9 +31,9 @@
 #include <vector>
 
 #include "src/common/histogram.h"
+#include "src/common/json.h"
 #include "src/ebr/ebr.h"
 #include "src/harness/driver.h"
-#include "src/perf/json.h"
 #include "src/telemetry/telemetry.h"
 
 namespace sb7 {
@@ -349,9 +349,9 @@ TEST(TelemetryJsonlTest, WriteValidateRoundTrip) {
   std::string line;
   std::vector<std::string> kinds;
   while (std::getline(lines, line)) {
-    const perf::JsonParseResult parsed = perf::ParseJson(line);
+    const JsonParseResult parsed = ParseJson(line);
     ASSERT_TRUE(parsed.ok()) << parsed.error << " in: " << line;
-    const perf::JsonValue* kind = parsed.value.Find("kind");
+    const JsonValue* kind = parsed.value.Find("kind");
     if (kind != nullptr) {
       kinds.push_back(kind->AsString());
     } else {
@@ -477,9 +477,9 @@ TEST(MetricsEndpointTest, ServesMetricsSeriesAnd404) {
   EXPECT_NE(series_response.find("200 OK"), std::string::npos);
   const size_t body_at = series_response.find("\r\n\r\n");
   ASSERT_NE(body_at, std::string::npos);
-  const perf::JsonParseResult parsed = perf::ParseJson(series_response.substr(body_at + 4));
+  const JsonParseResult parsed = ParseJson(series_response.substr(body_at + 4));
   ASSERT_TRUE(parsed.ok()) << parsed.error;
-  const perf::JsonValue* samples = parsed.value.Find("samples");
+  const JsonValue* samples = parsed.value.Find("samples");
   ASSERT_NE(samples, nullptr);
   ASSERT_EQ(samples->Items().size(), 1u);
   EXPECT_DOUBLE_EQ(samples->Items()[0].Find("completed")->AsNumber(), 25.0);

@@ -16,7 +16,7 @@
 //   R3  observer contract — TxObserver callback overrides must be noexcept
 //       (callbacks run inside commit/abort paths; an escaping exception
 //       would unwind through backend code holding stripe locks).
-//   R4  schema drift — the StmStats X-macro field list, kCsvSchemaVersion,
+//   R4  schema drift — the StmStats X-macro field list, kReportSchemaVersion,
 //       kBenchSchemaVersion, kTelemetrySchemaVersion and
 //       kRedoLogFormatVersion must match tools/lint/schema.lock; adding a
 //       counter or changing an artifact layout without bumping the consumer
@@ -299,7 +299,7 @@ void CheckObserverNoexcept(const SourceFile& file, std::vector<Finding>* finding
 
 struct Schema {
   std::vector<std::string> stats_fields;
-  int csv_version = -1;
+  int report_version = -1;
   int bench_version = -1;
   int telemetry_version = -1;
   int redo_log_version = -1;
@@ -366,19 +366,20 @@ std::optional<Schema> CollectSchema(const fs::path& root, std::string* error) {
     *error = "found no X(field) entries in SB7_STM_STATS_FIELDS (parser rot?)";
     return std::nullopt;
   }
-  const auto csv = ParseVersionConstant(root / "src/harness/report.cc", "kCsvSchemaVersion");
+  const auto report =
+      ParseVersionConstant(root / "src/harness/report.cc", "kReportSchemaVersion");
   const auto bench = ParseVersionConstant(root / "src/perf/report.h", "kBenchSchemaVersion");
   const auto telemetry =
       ParseVersionConstant(root / "src/telemetry/series.h", "kTelemetrySchemaVersion");
   const auto redo =
       ParseVersionConstant(root / "src/mvstm/redo_log.h", "kRedoLogFormatVersion");
-  if (!csv || !bench || !telemetry || !redo) {
+  if (!report || !bench || !telemetry || !redo) {
     *error =
-        "cannot parse kCsvSchemaVersion / kBenchSchemaVersion / "
+        "cannot parse kReportSchemaVersion / kBenchSchemaVersion / "
         "kTelemetrySchemaVersion / kRedoLogFormatVersion";
     return std::nullopt;
   }
-  schema.csv_version = *csv;
+  schema.report_version = *report;
   schema.bench_version = *bench;
   schema.telemetry_version = *telemetry;
   schema.redo_log_version = *redo;
@@ -400,8 +401,8 @@ std::optional<Schema> ReadSchemaLock(const fs::path& path, std::string* error) {
     std::istringstream fields(line);
     std::string key;
     fields >> key;
-    if (key == "csv_schema_version") {
-      fields >> lock.csv_version;
+    if (key == "report_schema_version") {
+      fields >> lock.report_version;
     } else if (key == "bench_schema_version") {
       fields >> lock.bench_version;
     } else if (key == "telemetry_schema_version") {
@@ -428,7 +429,7 @@ bool WriteSchemaLock(const fs::path& path, const Schema& schema) {
   }
   out << "# sb7-lint schema lock. Regenerate deliberately (after bumping the\n"
          "# consumer schema versions) with: sb7-lint --update-schema-lock\n";
-  out << "csv_schema_version " << schema.csv_version << "\n";
+  out << "report_schema_version " << schema.report_version << "\n";
   out << "bench_schema_version " << schema.bench_version << "\n";
   out << "telemetry_schema_version " << schema.telemetry_version << "\n";
   out << "redo_log_format_version " << schema.redo_log_version << "\n";
@@ -447,14 +448,14 @@ void CompareSchemas(const Schema& lock, const Schema& current,
     std::ostringstream message;
     message << "StmStats X-macro drifted from the lock (lock " << lock.stats_fields.size()
             << " fields, tree " << current.stats_fields.size()
-            << "): bump kCsvSchemaVersion/kBenchSchemaVersion if the artifact layout "
+            << "): bump kReportSchemaVersion/kBenchSchemaVersion if the artifact layout "
                "changed, then run `sb7-lint --update-schema-lock`";
     findings->push_back({lock_file, 1, "R4", message.str()});
   }
-  if (lock.csv_version != current.csv_version) {
+  if (lock.report_version != current.report_version) {
     findings->push_back({lock_file, 1, "R4",
-                         "kCsvSchemaVersion is " + std::to_string(current.csv_version) +
-                             " but the lock says " + std::to_string(lock.csv_version)});
+                         "kReportSchemaVersion is " + std::to_string(current.report_version) +
+                             " but the lock says " + std::to_string(lock.report_version)});
   }
   if (lock.bench_version != current.bench_version) {
     findings->push_back({lock_file, 1, "R4",
@@ -591,12 +592,12 @@ int RunSelfTest(const fs::path& root) {
   const auto current = CollectSchema(root, &error);
   expect(static_cast<bool>(current), "schema parser: " + error);
   if (current) {
-    expect(!current->stats_fields.empty() && current->csv_version > 0 &&
+    expect(!current->stats_fields.empty() && current->report_version > 0 &&
                current->bench_version > 0 && current->telemetry_version > 0 &&
                current->redo_log_version > 0,
            "schema parser returned implausible values");
     Schema corrupted = *current;
-    corrupted.csv_version += 1;
+    corrupted.report_version += 1;
     corrupted.telemetry_version += 1;
     corrupted.redo_log_version += 1;
     corrupted.stats_fields.push_back("bogus_counter");
@@ -664,7 +665,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     std::cout << "schema.lock updated: " << current->stats_fields.size()
-              << " stats fields, csv v" << current->csv_version << ", bench v"
+              << " stats fields, report v" << current->report_version << ", bench v"
               << current->bench_version << "\n";
     return 0;
   }
