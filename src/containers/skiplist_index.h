@@ -12,6 +12,13 @@
 // keeping structure shape independent of insertion interleaving, which the
 // cross-backend equivalence tests rely on.
 //
+// Layout: a node is one heap block — the node header (its TmUnit, key and
+// value field) followed by its `height` level links (trailing_fields.h). A
+// lookup follows one link per level, so a link must cost no dependent load
+// beyond the node: with the links in a per-node std::deque, a node took
+// ~600 bytes and each link read first missed on the deque's own block. The
+// links register with the node's TmUnit after `value`, in level order.
+//
 // Deliberately avoided: a centralized size field (it would serialize every
 // writer on one word). Size() walks the bottom level and is O(n); it is used
 // by tests and reports only, never by benchmark operations.
@@ -19,11 +26,11 @@
 #ifndef STMBENCH7_SRC_CONTAINERS_SKIPLIST_INDEX_H_
 #define STMBENCH7_SRC_CONTAINERS_SKIPLIST_INDEX_H_
 
-#include <deque>
 #include <functional>
 
 #include "src/common/rng.h"
 #include "src/containers/index.h"
+#include "src/containers/trailing_fields.h"
 #include "src/ebr/ebr.h"
 #include "src/stm/field.h"
 
@@ -32,13 +39,13 @@ namespace sb7 {
 template <typename K, typename V>
 class SkipListIndex : public Index<K, V> {
  public:
-  SkipListIndex() : head_(new Node(K{}, V{}, kMaxHeight)) {}
+  SkipListIndex() : head_(Node::Make(K{}, V{}, kMaxHeight)) {}
 
   ~SkipListIndex() override {
     Node* node = head_;
     while (node != nullptr) {
       // raw-ok: destructor runs after the last transaction.
-      Node* next = internal::DecodeWord<Node*>(node->next[0].LoadRaw());
+      Node* next = internal::DecodeWord<Node*>(node->next(0).LoadRaw());
       delete node;
       node = next;
     }
@@ -60,7 +67,7 @@ class SkipListIndex : public Index<K, V> {
       return false;
     }
     const int height = HeightFor(key);
-    auto* fresh = new Node(key, value, height);
+    Node* fresh = Node::Make(key, value, height);
     // Registered before the transactional accesses below, any of which may
     // abort the attempt.
     if (Transaction* tx = CurrentTx()) {
@@ -69,11 +76,11 @@ class SkipListIndex : public Index<K, V> {
     for (int level = 0; level < height; ++level) {
       // raw-ok: the new node is thread-private until the predecessor links
       // below are written, so its own links are seeded directly.
-      fresh->next[level].StoreRaw(
-          internal::EncodeWord<Node*>(preds[level]->next[level].Get()));
+      fresh->next(level).StoreRaw(
+          internal::EncodeWord<Node*>(preds[level]->next(level).Get()));
     }
     for (int level = 0; level < height; ++level) {
-      preds[level]->next[level].Set(fresh);
+      preds[level]->next(level).Set(fresh);
     }
     return true;
   }
@@ -89,8 +96,8 @@ class SkipListIndex : public Index<K, V> {
       // The predecessor at this level might not point at `node` (taller
       // predecessors can skip it only if heights disagree — they cannot for
       // the matched key, but guard for robustness).
-      if (preds[level]->next[level].Get() == node) {
-        preds[level]->next[level].Set(node->next[level].Get());
+      if (preds[level]->next(level).Get() == node) {
+        preds[level]->next(level).Set(node->next(level).Get());
       }
     }
     if (Transaction* tx = CurrentTx()) {
@@ -108,26 +115,26 @@ class SkipListIndex : public Index<K, V> {
       if (!fn(node->key, node->value.Get())) {
         return;
       }
-      node = node->next[0].Get();
+      node = node->next(0).Get();
     }
   }
 
   void ForEach(const std::function<bool(const K&, const V&)>& fn) const override {
-    Node* node = head_->next[0].Get();
+    Node* node = head_->next(0).Get();
     while (node != nullptr) {
       if (!fn(node->key, node->value.Get())) {
         return;
       }
-      node = node->next[0].Get();
+      node = node->next(0).Get();
     }
   }
 
   int64_t Size() const override {
     int64_t n = 0;
-    Node* node = head_->next[0].Get();
+    Node* node = head_->next(0).Get();
     while (node != nullptr) {
       ++n;
-      node = node->next[0].Get();
+      node = node->next(0).Get();
     }
     return n;
   }
@@ -135,17 +142,23 @@ class SkipListIndex : public Index<K, V> {
  private:
   static constexpr int kMaxHeight = 16;
 
-  struct Node : TmObject {
-    Node(const K& node_key, const V& node_value, int node_height)
-        : key(node_key), value(unit(), node_value) {
-      for (int i = 0; i < node_height; ++i) {
-        next.emplace_back(unit(), nullptr);
+  struct Node : TmObject, TrailingFields<Node, TxField<Node*>> {
+    Node(const K& node_key, const V& node_value) : key(node_key), value(unit(), node_value) {}
+    ~Node() override { this->DestroyFields(); }
+
+    static Node* Make(const K& key, const V& value, int height) {
+      Node* node = Node::New(height, key, value);
+      for (int level = 0; level < height; ++level) {
+        node->EmplaceField(node->unit(), nullptr);
       }
+      return node;
     }
+
+    TxField<Node*>& next(int level) { return this->field(level); }
+    int height() const { return static_cast<int>(this->field_count()); }
+
     const K key;  // immutable: safe to compare without transactional reads
     TxField<V> value;
-    std::deque<TxField<Node*>> next;
-    int height() const { return static_cast<int>(next.size()); }
   };
 
   static int HeightFor(const K& key) {
@@ -164,10 +177,10 @@ class SkipListIndex : public Index<K, V> {
   Node* FindGreaterOrEqual(const K& key, Node** preds) const {
     Node* pred = head_;
     for (int level = kMaxHeight - 1; level >= 0; --level) {
-      Node* next = pred->next[level].Get();
+      Node* next = pred->next(level).Get();
       while (next != nullptr && next->key < key) {
         pred = next;
-        next = pred->next[level].Get();
+        next = pred->next(level).Get();
       }
       if (preds != nullptr) {
         preds[level] = pred;

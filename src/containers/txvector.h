@@ -9,6 +9,12 @@
 // word accesses; under the lock strategies they compile down to plain
 // atomics guarded externally.
 //
+// Layout: a chunk is one heap block — the chunk header (its TmUnit) followed
+// by its slots (trailing_fields.h), registered with the chunk's unit in index
+// order, so a slot's index is its `index_in_unit`. A chunk is never resized:
+// growth builds a chunk of twice the capacity whose slots are born holding
+// the transactionally read elements, and retires the old one through EBR.
+//
 // TxSet and TxBag are thin semantic wrappers: benchmark collections are small
 // (3..200 elements), so linear membership scans match the asymptotics of the
 // original benchmark's usage.
@@ -16,9 +22,8 @@
 #ifndef STMBENCH7_SRC_CONTAINERS_TXVECTOR_H_
 #define STMBENCH7_SRC_CONTAINERS_TXVECTOR_H_
 
-#include <deque>
-
 #include "src/common/diag.h"
+#include "src/containers/trailing_fields.h"
 #include "src/ebr/ebr.h"
 #include "src/stm/field.h"
 
@@ -48,22 +53,21 @@ class TxVector : public TmObject {
     // reads elements that no longer exist).
     SB7_DCHECK(index >= 0 && index < Size());
     Chunk* chunk = chunk_.Get();
-    SB7_DCHECK(index < static_cast<int64_t>(chunk->slots.size()));
-    return chunk->slots[index].Get();
+    return chunk->slot(index).Get();
   }
 
   void Set(int64_t index, const T& value) {
     SB7_DCHECK(index >= 0 && index < Size());
-    chunk_.Get()->slots[index].Set(value);
+    chunk_.Get()->slot(index).Set(value);
   }
 
   void PushBack(const T& value) {
     const int64_t size = size_.Get();
     Chunk* chunk = chunk_.Get();
-    if (size == static_cast<int64_t>(chunk->slots.size())) {
+    if (size == chunk->capacity()) {
       chunk = Grow(chunk, size);
     }
-    chunk->slots[size].Set(value);
+    chunk->slot(size).Set(value);
     size_.Set(size + 1);
   }
 
@@ -140,36 +144,43 @@ class TxVector : public TmObject {
   }
 
  private:
-  struct Chunk : TmObject {
-    Chunk(TmUnit& owner_unit, int64_t capacity) {
+  struct Chunk : TmObject, TrailingFields<Chunk, TxField<T>> {
+    explicit Chunk(TmUnit& owner_unit) {
       unit().set_cover(&owner_unit);
       unit().set_topology(true);
-      for (int64_t i = 0; i < capacity; ++i) {
-        slots.emplace_back(unit(), T{});
-      }
     }
-    // emplace_back into a deque never relocates existing TxFields.
-    std::deque<TxField<T>> slots;
+    ~Chunk() override { this->DestroyFields(); }
+
+    TxField<T>& slot(int64_t index) { return this->field(index); }
+    int64_t capacity() const { return this->field_count(); }
   };
 
-  Chunk* MakeChunk(int64_t capacity) { return new Chunk(unit(), capacity); }
+  Chunk* MakeChunk(int64_t capacity) {
+    Chunk* chunk = Chunk::New(capacity, unit());
+    for (int64_t i = 0; i < capacity; ++i) {
+      chunk->EmplaceField(chunk->unit(), T{});
+    }
+    return chunk;
+  }
 
   Chunk* Grow(Chunk* old_chunk, int64_t size) {
-    auto* fresh = new Chunk(unit(), 0);
+    const int64_t new_capacity = old_chunk->capacity() * 2;
+    Chunk* fresh = Chunk::New(new_capacity, unit());
     Transaction* tx = CurrentTx();
     // Registered before the transactional accesses below, any of which may
-    // abort the attempt.
+    // abort the attempt; deleting a partly built chunk destroys only the
+    // slots added so far.
     if (tx != nullptr) {
       tx->OnAbort([fresh] { delete fresh; });
     }
-    // Seed the new chunk with transactionally read values; the chunk itself
-    // is thread-private until chunk_ is written below.
+    // Each seeded slot is born holding its transactionally read value (the
+    // birth is what the opacity checker records); the chunk itself is
+    // thread-private until chunk_ is written below.
     for (int64_t i = 0; i < size; ++i) {
-      fresh->slots.emplace_back(fresh->unit(), old_chunk->slots[i].Get());
+      fresh->EmplaceField(fresh->unit(), old_chunk->slot(i).Get());
     }
-    const int64_t new_capacity = static_cast<int64_t>(old_chunk->slots.size()) * 2;
     for (int64_t i = size; i < new_capacity; ++i) {
-      fresh->slots.emplace_back(fresh->unit(), T{});
+      fresh->EmplaceField(fresh->unit(), T{});
     }
     chunk_.Set(fresh);
     if (tx != nullptr) {

@@ -31,8 +31,14 @@ bool InSet(const std::vector<int>& set, int tid) {
 // (empty for the root run). Past the prefix the default policy picks the
 // previous thread when possible (fewest context switches), else the lowest
 // enabled non-sleeping tid, recording branch points for the skipped
-// siblings. Returns the completed trace; appends new branch points and
-// counts sleep-blocked drains and bound-pruned branches into `result`.
+// siblings. A previous thread whose pending operation is a yield (a spin or
+// backoff step) gives way instead, as in CHESS: the policy runs the lowest
+// non-sleeping thread that does not yield, and that switch is free. Running
+// the yielder on while such a thread is enabled is the preemption then:
+// it stays a sibling, charged one switch, so a bounded run prunes it once
+// the bound is spent and an unbounded run still explores it. Returns the
+// completed trace; appends new branch points and counts sleep-blocked
+// drains and bound-pruned branches into `result`.
 ScheduleTrace RunOne(const Litmus& litmus, const ExploreOptions& options,
                      const std::vector<int>& choices, const std::vector<int>& branch_sleep,
                      std::vector<BranchPoint>* stack, ExploreResult* result) {
@@ -59,6 +65,25 @@ ScheduleTrace RunOne(const Litmus& litmus, const ExploreOptions& options,
     const std::vector<int> enabled = scheduler.EnabledThreads();
     SB7_CHECK(!enabled.empty());
 
+    // Whether granting `tid` the next step is a preemption. It depends on
+    // the state only, not on the sleep set, so a replayed prefix counts the
+    // switches its recording run counted.
+    const bool last_enabled = last_tid >= 0 && InSet(enabled, last_tid);
+    const bool last_yields =
+        last_enabled && scheduler.PendingOf(last_tid).kind == sp::OpKind::kYield;
+    bool progress_elsewhere = false;  // another enabled thread does not yield
+    for (int tid : enabled) {
+      if (tid != last_tid && scheduler.PendingOf(tid).kind != sp::OpKind::kYield) {
+        progress_elsewhere = true;
+      }
+    }
+    const auto preempts = [&](int tid) {
+      if (!last_enabled) {
+        return false;
+      }
+      return last_yields ? tid == last_tid && progress_elsewhere : tid != last_tid;
+    };
+
     int chosen = -1;
     bool forced = false;
     if (pos < choices.size()) {
@@ -80,17 +105,25 @@ ScheduleTrace RunOne(const Litmus& litmus, const ExploreOptions& options,
     } else {
       // Default policy among non-sleeping enabled threads.
       int best = -1;
+      int give_way = -1;  // the lowest non-yielding thread, when last yields
       for (int tid : enabled) {
         if (InSet(sleep, tid)) {
           continue;
         }
-        if (tid == last_tid) {
+        if (tid == last_tid && !last_yields) {
           best = tid;
           break;
         }
         if (best < 0) {
           best = tid;
         }
+        if (give_way < 0 && last_yields && tid != last_tid &&
+            scheduler.PendingOf(tid).kind != sp::OpKind::kYield) {
+          give_way = tid;
+        }
+      }
+      if (give_way >= 0) {
+        best = give_way;
       }
       if (best < 0) {
         // Every enabled thread sleeps: all continuations commute into
@@ -112,8 +145,7 @@ ScheduleTrace RunOne(const Litmus& litmus, const ExploreOptions& options,
         if (tid == chosen || InSet(sleep, tid)) {
           continue;
         }
-        const bool preempts = last_tid >= 0 && tid != last_tid && InSet(enabled, last_tid);
-        if (options.switch_bound >= 0 && preempts && switches >= options.switch_bound) {
+        if (options.switch_bound >= 0 && preempts(tid) && switches >= options.switch_bound) {
           ++result->bound_pruned;
           continue;
         }
@@ -142,7 +174,7 @@ ScheduleTrace RunOne(const Litmus& litmus, const ExploreOptions& options,
       }
       sleep = std::move(kept);
     }
-    if (last_tid >= 0 && chosen != last_tid && InSet(enabled, last_tid)) {
+    if (preempts(chosen)) {
       ++switches;
     }
     last_tid = chosen;

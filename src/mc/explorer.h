@@ -16,7 +16,9 @@
 /// Bounds, all optional: max schedules, max recorded steps per schedule
 /// (past it the run free-runs fairly to completion and counts as
 /// truncated), and a context-switch bound (branch points that would preempt
-/// a still-enabled thread past the bound are not recorded). Every completed
+/// a still-enabled thread past the bound are not recorded; leaving a thread
+/// whose next step is a yield is no preemption, but running it on while a
+/// thread that does not yield is enabled is one). Every completed
 /// execution is checked: model-level violations from the scheduler (races,
 /// use-after-free), plus the litmus's own end-state predicate.
 ///

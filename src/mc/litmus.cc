@@ -239,9 +239,23 @@ std::string OpacityFailure(StmCells& cells) {
   return std::string();
 }
 
+// Resets a cell to 0 between executions. Its mvstm version history goes
+// too: a stale head from the previous execution would be served to a
+// snapshot reader whose walk passes the new commit, as if the old value
+// were committed within its snapshot.
+void ResetCell(McCell& cell) {
+  cell.value.Set(0);
+  // raw-ok: control thread between executions; the head is owned by the
+  // field (older versions were retired through EBR when displaced).
+  if (void* head = cell.value.LoadMvHistory()) {
+    internal::FreeMvHistoryHead(head);
+    cell.value.StoreMvHistory(nullptr);  // raw-ok: see above.
+  }
+}
+
 void StmSetup(const std::shared_ptr<StmCells>& cells) {
-  cells->x.value.Set(0);
-  cells->y.value.Set(0);
+  ResetCell(cells->x);
+  ResetCell(cells->y);
   cells->r1 = cells->r2 = 0;
   cells->torn = false;
   cells->recorder = std::make_unique<HistoryRecorder>();
@@ -468,8 +482,8 @@ struct GroupCommitCells {
 };
 
 void GroupCommitSetup(const std::shared_ptr<GroupCommitCells>& cells) {
-  cells->x.value.Set(0);
-  cells->y.value.Set(0);
+  ResetCell(cells->x);
+  ResetCell(cells->y);
   cells->r1 = cells->r2 = 0;
   cells->members_before = cells->writer.stats().members;
   cells->recorder = std::make_unique<HistoryRecorder>();

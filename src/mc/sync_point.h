@@ -91,10 +91,8 @@ constexpr const char* OpKindName(OpKind kind) {
 /// src/mc/scheduler.cc.
 void SyncPoint(const void* addr, OpKind kind);
 
-/// True when the calling thread is under cooperative scheduling; used by
-/// Backoff::Pause to replace real spinning/sleeping with one deterministic
-/// yield sync point (wall-clock waits would only slow exploration — the
-/// scheduler already decides who runs).
+/// True when the calling thread is under cooperative scheduling (see
+/// McSpinStep below).
 bool UnderMcScheduler();
 
 /// Instrumented atomic: `std::atomic<T>` plus a SyncPoint before every
@@ -152,6 +150,19 @@ template <typename T>
 using Atomic = std::atomic<T>;
 
 #endif  // SB7_MC
+
+/// One step of a spin or backoff wait. Under the cooperative scheduler the
+/// step is a yield sync point and this returns true: the caller skips its
+/// real wait, which would only stall the exploration (the scheduler alone
+/// decides who runs), and the explorer may switch away from it for free.
+/// Elsewhere it returns false and the caller waits as it would.
+inline bool McSpinStep() {
+  if (!UnderMcScheduler()) {
+    return false;
+  }
+  SyncPoint(nullptr, OpKind::kYield);
+  return true;
+}
 
 using AtomicU64 = Atomic<uint64_t>;
 

@@ -17,8 +17,7 @@ namespace {
 // the cooperative scheduler); in a real run a short pause beats a syscall
 // while the leader is mid-group, with a thread yield as pressure valve.
 void SpinPause(int& spins) {
-  if (sp::UnderMcScheduler()) {
-    sp::SyncPoint(nullptr, sp::OpKind::kYield);
+  if (sp::McSpinStep()) {
     return;
   }
   if (++spins < 64) {

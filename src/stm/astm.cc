@@ -31,8 +31,8 @@ void AstmTx::BeginAttempt() {
   // mo: release — re-arming the status publishes the cleaned-up state from
   // the previous attempt to contention managers chasing astm_owner.
   status_.store(AstmStatus::kActive, std::memory_order_release);
-  read_map_.clear();
-  write_map_.clear();
+  ClearHashIndex(read_map_);
+  ClearHashIndex(write_map_);
   write_order_.clear();
   // mo: relaxed — heuristic mirror of the open count (see astm.h).
   priority_.store(0, std::memory_order_relaxed);
@@ -262,7 +262,7 @@ void AstmTx::ReleaseOwnerships() {
     unit->astm_owner.store(nullptr, std::memory_order_release);
   }
   write_order_.clear();
-  write_map_.clear();
+  ClearHashIndex(write_map_);
   // Keep the advertised priority consistent with the surviving read list
   // until the next BeginAttempt resets both.
   // mo: relaxed — heuristic open-count mirror (see astm.h).

@@ -25,7 +25,9 @@ uint64_t NorecTx::WaitForEvenClock() {
     if ((now & 1) == 0) {
       return now;
     }
-    std::this_thread::yield();
+    if (!sp::McSpinStep()) {
+      std::this_thread::yield();
+    }
   }
 }
 
@@ -33,7 +35,7 @@ void NorecTx::BeginAttempt() {
   snapshot_ = WaitForEvenClock();
   read_log_.clear();
   write_log_.clear();
-  write_index_.clear();
+  ClearHashIndex(write_index_);
 }
 
 uint64_t NorecTx::Validate() {

@@ -56,11 +56,7 @@ void Backoff::Pause(int attempt) {
   if (attempt <= 0) {
     return;
   }
-  if (sp::UnderMcScheduler()) {
-    // Under the interleaving explorer, wall-clock waits are meaningless (the
-    // scheduler alone decides who runs) and real sleeps would stall the whole
-    // exploration. One yield sync point keeps backoff a scheduling point.
-    sp::SyncPoint(nullptr, sp::OpKind::kYield);
+  if (sp::McSpinStep()) {
     return;
   }
   if (attempt < 3) {

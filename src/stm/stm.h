@@ -186,6 +186,17 @@ class TxImplBase : public Transaction {
   };
   AttemptCounters counters_;
 
+  /// Empties a per-attempt hash index. libstdc++'s clear() zeroes the whole
+  /// bucket array, which never shrinks: after one large write set every
+  /// later attempt on the thread would pay for it, even with nothing to
+  /// clear.
+  template <typename HashContainer>
+  static void ClearHashIndex(HashContainer& index) {
+    if (!index.empty()) {
+      index.clear();
+    }
+  }
+
  private:
   friend class Stm;  // resets and flushes counters_, runs the hooks
 };

@@ -11,7 +11,7 @@ void TinyTx::BeginAttempt() {
   read_set_.clear();
   undo_log_.clear();
   owned_.clear();
-  owned_lookup_.clear();
+  ClearHashIndex(owned_lookup_);
 }
 
 bool TinyTx::ValidateReadSet() {
@@ -125,7 +125,7 @@ bool TinyTx::TryCommit() {
     held.stripe->store(LockTable::MakeVersion(wv), std::memory_order_release);
   }
   owned_.clear();
-  owned_lookup_.clear();
+  ClearHashIndex(owned_lookup_);
   return true;
 }
 
@@ -140,7 +140,7 @@ void TinyTx::RollbackAndRelease() {
     held.stripe->store(held.pre_lock_word, std::memory_order_release);
   }
   owned_.clear();
-  owned_lookup_.clear();
+  ClearHashIndex(owned_lookup_);
 }
 
 void TinyTx::AbortSelf() { RollbackAndRelease(); }

@@ -12,7 +12,7 @@ void Tl2Tx::BeginAttempt() {
   rv_ = LockTable::ClockNow();
   read_set_.clear();
   write_log_.clear();
-  write_index_.clear();
+  ClearHashIndex(write_index_);
   acquired_.clear();
 }
 

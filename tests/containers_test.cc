@@ -4,15 +4,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/containers/skiplist_index.h"
 #include "src/containers/snapshot_index.h"
 #include "src/containers/std_map_index.h"
+#include "src/containers/trailing_fields.h"
 #include "src/containers/txvector.h"
+#include "src/mvstm/mvstm.h"
 #include "src/stm/stm_factory.h"
+#include "src/stm/tl2.h"
 
 namespace sb7 {
 namespace {
@@ -471,6 +478,297 @@ TEST(IndexAuditTest, DateKeyHelpersRoundTripAtTheIdBoundaries) {
                 return true;
               });
   EXPECT_EQ(seen, 3);
+}
+
+// --- Flat layout: fields stored behind their owner in one block ---
+
+// A field type whose alignment exceeds its owner's, so the owner's size
+// must be rounded up to reach the first field. Records destruction order.
+struct alignas(16) WideField {
+  explicit WideField(int64_t field_value) : value(field_value) {}
+  ~WideField() { destroyed.push_back(value); }
+  int64_t value;
+  static inline std::vector<int64_t> destroyed;
+};
+
+class TaggedBlock : public TrailingFields<TaggedBlock, WideField> {
+ public:
+  // Room for `capacity` fields, of which the first `built` are constructed.
+  static TaggedBlock* Make(int64_t capacity, int64_t built) {
+    TaggedBlock* block = New(capacity);
+    for (int64_t i = 0; i < built; ++i) {
+      block->EmplaceField(i * 10);
+    }
+    return block;
+  }
+  ~TaggedBlock() { DestroyFields(); }
+
+  char tag[9] = {};
+};
+
+static_assert(sizeof(TaggedBlock) % alignof(WideField) != 0,
+              "the owner must end off the fields' alignment for this test");
+static_assert(TaggedBlock::FieldOffset() >= sizeof(TaggedBlock) &&
+                  TaggedBlock::FieldOffset() % alignof(WideField) == 0,
+              "trailing fields must start aligned, past the owner");
+
+TEST(TrailingFieldsTest, FieldsSitAlignedBehindTheOwnerAndDieInReverse) {
+  WideField::destroyed.clear();
+  TaggedBlock* block = TaggedBlock::Make(/*capacity=*/5, /*built=*/5);
+  const auto start = reinterpret_cast<uintptr_t>(block);
+  EXPECT_EQ(block->field_count(), 5);
+  for (int64_t i = 0; i < 5; ++i) {
+    const auto address = reinterpret_cast<uintptr_t>(&block->field(i));
+    EXPECT_EQ(address, start + TaggedBlock::FieldOffset() + i * sizeof(WideField)) << i;
+    EXPECT_EQ(address % alignof(WideField), 0u) << i;
+    EXPECT_EQ(block->field(i).value, i * 10);
+  }
+  delete block;
+  EXPECT_EQ(WideField::destroyed, (std::vector<int64_t>{40, 30, 20, 10, 0}));
+
+  // A block an abort left partly built destroys only what it built.
+  WideField::destroyed.clear();
+  delete TaggedBlock::Make(/*capacity=*/5, /*built=*/2);
+  EXPECT_EQ(WideField::destroyed, (std::vector<int64_t>{10, 0}));
+}
+
+// tl2 or mvstm whose transactions, once armed with k, throw TxAborted at
+// the k-th transactional read after arming; every later read runs clean.
+template <typename BaseStm, typename BaseTx>
+class AbortAtReadStm : public BaseStm {
+ public:
+  void Arm(int64_t k) {
+    countdown_ = k;
+    fired_ = false;
+  }
+  bool fired() const { return fired_; }
+
+ protected:
+  std::unique_ptr<TxImplBase> CreateTx() override { return std::make_unique<Tx>(*this); }
+
+ private:
+  class Tx : public BaseTx {
+   public:
+    explicit Tx(AbortAtReadStm& stm) : stm_(stm) {}
+    uint64_t Read(const TxFieldBase& field) override {
+      if (stm_.countdown_ > 0 && --stm_.countdown_ == 0) {
+        stm_.fired_ = true;
+        throw TxAborted{};
+      }
+      return BaseTx::Read(field);
+    }
+
+   private:
+    AbortAtReadStm& stm_;
+  };
+
+  int64_t countdown_ = 0;
+  bool fired_ = false;
+};
+
+using Tl2AbortAtRead = AbortAtReadStm<Tl2Stm, Tl2Tx>;
+using MvstmAbortAtRead = AbortAtReadStm<MvStm, MvTx>;
+
+// Runs `body` in one transaction with `stm` armed at k = 1, 2, ... until an
+// execution has fewer than k reads, so one attempt aborts at each of its
+// reads in turn and the retry after it commits. Returns the reads walked.
+template <typename AbortStm, typename Body>
+int WalkReadAborts(AbortStm& stm, Body body) {
+  for (int k = 1;; ++k) {
+    stm.Arm(k);
+    stm.RunAtomically([&](Transaction&) { body(); });
+    if (!stm.fired()) {
+      return k - 1;
+    }
+  }
+}
+
+template <typename AbortStm>
+void CheckSkipListLayout() {
+  AbortStm stm;
+  SkipListIndex<int64_t, int64_t> index;
+  std::map<int64_t, int64_t> model;
+  // 4096 nodes give every height up to about 7 (p = 1/4), below the
+  // 16-level head.
+  constexpr int64_t kKeys = 4096;
+  for (int64_t first = 0; first < kKeys; first += 64) {
+    stm.RunAtomically([&](Transaction&) {
+      for (int64_t k = first; k < first + 64; ++k) {
+        index.Insert(k * 3, k);
+      }
+    });
+  }
+  for (int64_t k = 0; k < kKeys; ++k) {
+    model[k * 3] = k;
+  }
+  // Aborts at every read of an insert, a remove and a re-insert; the
+  // inserts' later reads seed the new node's links after it was allocated.
+  int walked = 0;
+  for (int64_t key = 1; key < kKeys * 3; key += 601) {
+    walked += WalkReadAborts(stm, [&] { index.Insert(key, -key); });
+    model[key] = -key;
+  }
+  for (int64_t key = 0; key < kKeys * 3; key += 3 * 97) {
+    walked += WalkReadAborts(stm, [&] { index.Remove(key); });
+    model.erase(key);
+  }
+  for (int64_t key = 0; key < kKeys * 3; key += 3 * 194) {
+    walked += WalkReadAborts(stm, [&] { index.Insert(key, key + 1); });
+    model[key] = key + 1;
+  }
+  EXPECT_GT(walked, 100);
+  // A transaction that inserts many keys and then aborts leaves nothing.
+  bool first_attempt = true;
+  stm.RunAtomically([&](Transaction&) {
+    if (!first_attempt) {
+      return;
+    }
+    for (int64_t key = 2; key < 2000; key += 3) {
+      index.Insert(key, key);
+    }
+    first_attempt = false;
+    throw TxAborted{};
+  });
+
+  EXPECT_EQ(index.Size(), static_cast<int64_t>(model.size()));
+  for (int64_t lo = 0; lo < kKeys * 3; lo += 1000) {
+    const int64_t hi = lo + 250;
+    std::vector<std::pair<int64_t, int64_t>> seen;
+    stm.RunAtomically([&](Transaction&) {
+      seen.clear();
+      index.Range(lo, hi, [&seen](const int64_t& key, const int64_t& value) {
+        seen.emplace_back(key, value);
+        return true;
+      });
+    });
+    const std::vector<std::pair<int64_t, int64_t>> want(model.lower_bound(lo),
+                                                         model.upper_bound(hi));
+    EXPECT_EQ(seen, want) << lo;
+  }
+  for (const auto& [key, value] : model) {
+    ASSERT_EQ(index.Lookup(key), value) << key;
+  }
+  EbrDomain::Global().DrainAll();
+}
+
+TEST(FlatLayoutTest, SkipListUnderTl2WithAbortsMidInsert) {
+  CheckSkipListLayout<Tl2AbortAtRead>();
+}
+
+TEST(FlatLayoutTest, SkipListUnderMvstmWithAbortsMidInsert) {
+  CheckSkipListLayout<MvstmAbortAtRead>();
+}
+
+template <typename AbortStm>
+void CheckTxVectorGrowth() {
+  AbortStm stm;
+  TxVector<int64_t> vec(/*initial_capacity=*/1);
+  // Six doublings (1 -> 64) inside a transaction that aborts: the retry
+  // does nothing, and every chunk the attempt built is freed.
+  bool first_attempt = true;
+  stm.RunAtomically([&](Transaction&) {
+    if (!first_attempt) {
+      return;
+    }
+    for (int64_t i = 0; i < 64; ++i) {
+      vec.PushBack(i);
+    }
+    first_attempt = false;
+    throw TxAborted{};
+  });
+  EXPECT_EQ(vec.Size(), 0);
+  // The same doublings inside a committing transaction.
+  stm.RunAtomically([&](Transaction&) {
+    for (int64_t i = 0; i < 64; ++i) {
+      vec.PushBack(i + 1);
+    }
+  });
+  ASSERT_EQ(vec.Size(), 64);
+  for (int64_t i = 0; i < 64; ++i) {
+    ASSERT_EQ(vec.Get(i), i + 1) << i;
+  }
+  // Two more doublings (64 -> 256) of a fresh full vector, with the first
+  // attempt aborted at its k-th read for every k, including the reads that
+  // seed a half-built chunk.
+  int walked = 0;
+  for (int k = 1;; ++k) {
+    TxVector<int64_t> grown(/*initial_capacity=*/64);
+    for (int64_t i = 0; i < 64; ++i) {
+      grown.PushBack(i);
+    }
+    stm.Arm(k);
+    stm.RunAtomically([&](Transaction&) {
+      for (int64_t i = 64; i < 214; ++i) {
+        grown.PushBack(i);
+      }
+    });
+    ASSERT_EQ(grown.Size(), 214) << k;
+    for (int64_t i = 0; i < 214; ++i) {
+      ASSERT_EQ(grown.Get(i), i) << k;
+    }
+    if (!stm.fired()) {
+      break;
+    }
+    ++walked;
+  }
+  EXPECT_GT(walked, 64 + 128);
+  EbrDomain::Global().DrainAll();
+}
+
+TEST(FlatLayoutTest, TxVectorGrowsAcrossDoublingsUnderTl2) {
+  CheckTxVectorGrowth<Tl2AbortAtRead>();
+}
+
+TEST(FlatLayoutTest, TxVectorGrowsAcrossDoublingsUnderMvstm) {
+  CheckTxVectorGrowth<MvstmAbortAtRead>();
+}
+
+// Records field births and raw stores, the events the opacity checker
+// grounds field values on.
+class BirthRecorder : public TxObserver {
+ public:
+  void OnTxBegin(bool) noexcept override {}
+  void OnTxCommit() noexcept override {}
+  void OnTxAbort(const TxAbortInfo&) noexcept override {}
+  void OnFieldBirth(const TxFieldBase& field, uint64_t word) noexcept override {
+    births.emplace_back(&field, word);
+  }
+  void OnRawStore(const TxFieldBase& field, uint64_t) noexcept override {
+    raw_stores.push_back(&field);
+  }
+
+  std::vector<std::pair<const TxFieldBase*, uint64_t>> births;
+  std::vector<const TxFieldBase*> raw_stores;
+};
+
+TEST(FlatLayoutTest, GrownChunkSlotsAreBornHoldingTheirSeededValues) {
+  auto stm = MakeStm("tl2");
+  TxVector<int64_t> vec(/*initial_capacity=*/4);
+  for (int64_t i = 0; i < 4; ++i) {
+    vec.PushBack(100 + i);
+  }
+  BirthRecorder recorder;
+  ASSERT_TRUE(InstallTxObserver(&recorder));
+  stm->RunAtomically([&](Transaction&) { vec.PushBack(104); });  // grows 4 -> 8
+  ASSERT_TRUE(RemoveTxObserver(&recorder));
+
+  // The new chunk's eight slots, in index order: the four seeded ones hold
+  // their elements from birth, the rest T{}; none is seeded by a raw store.
+  ASSERT_EQ(recorder.births.size(), 8u);
+  for (size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(recorder.births[i].second, i < 4 ? 100 + i : 0) << i;
+    if (i < 4) {
+      EXPECT_EQ(std::count(recorder.raw_stores.begin(), recorder.raw_stores.end(),
+                           recorder.births[i].first),
+                0)
+          << i;
+    }
+  }
+  ASSERT_EQ(vec.Size(), 5);
+  for (int64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(vec.Get(i), 100 + i);
+  }
+  EbrDomain::Global().DrainAll();
 }
 
 }  // namespace

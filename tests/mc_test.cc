@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <utility>
@@ -195,6 +196,116 @@ TEST(McExplorerTest, IterativeBoundsStopWhenABoundPrunesNothing) {
   EXPECT_EQ(iterative.bound_pruned, 0u);
   EXPECT_GE(iterative.bound, 1);
   EXPECT_GE(iterative.schedules, unbounded.schedules);
+}
+
+// A spin lock whose holder does not run first: T1 holds it from the start,
+// writes x and releases it; T0 retries a CAS on it with a yield between
+// attempts, then reads x. The spinner starts (lowest tid), so at bound 0 the
+// holder can only run if switching away from a yielding thread costs no
+// preemption; otherwise the spinner spins until max_steps.
+struct SpinLockCells {
+  sp::AtomicU64 lock{1}, x{0};
+  uint64_t seen = 0;
+};
+
+Litmus MakeSpinLockLitmus(const std::shared_ptr<SpinLockCells>& cells) {
+  Litmus litmus;
+  litmus.name = "test-spin-lock";
+  litmus.setup = [cells] {
+    // mo: relaxed — single-threaded reset from the control thread.
+    cells->lock.store(1, std::memory_order_relaxed);
+    cells->x.store(0, std::memory_order_relaxed);
+    cells->seen = 0;
+  };
+  litmus.bodies = {
+      [cells] {
+        uint64_t unlocked = 0;
+        // mo: acquire — pairs with the holder's release of the lock.
+        while (!cells->lock.compare_exchange_strong(unlocked, 1, std::memory_order_acquire)) {
+          unlocked = 0;
+          sp::SyncPoint(nullptr, sp::OpKind::kYield);
+        }
+        // mo: relaxed — ordered by the lock.
+        cells->seen = cells->x.load(std::memory_order_relaxed);
+      },
+      [cells] {
+        // mo: relaxed store, then release — publishes x with the unlock.
+        cells->x.store(1, std::memory_order_relaxed);
+        cells->lock.store(0, std::memory_order_release);
+      },
+  };
+  litmus.check = [cells]() -> std::string {
+    return cells->seen == 1 ? "" : "spinner took the lock before its release";
+  };
+  return litmus;
+}
+
+TEST(McExplorerTest, SpinnerGivesWayToAPreemptedLockHolder) {
+  auto cells = std::make_shared<SpinLockCells>();
+  const Litmus litmus = MakeSpinLockLitmus(cells);
+  ExploreOptions options = SmokeOptions();
+  options.switch_bound = 0;
+  const ExploreResult result = Explore(litmus, options);
+  EXPECT_GE(result.schedules, 1u);
+  EXPECT_EQ(result.truncated, 0u);
+  EXPECT_EQ(result.failures, 0u);
+  EXPECT_FALSE(result.budget_exhausted);
+}
+
+// Giving way at a yield must not hide the order in which the yielder runs
+// on: T0 writes a, yields (as a retry's backoff does), then reads x, which
+// T1 writes. The default policy runs T1 at T0's yield; the schedule in
+// which T0 retries its read first (tids 0, 0, 0, 1) stays an alternative,
+// explored by an unbounded search and by the iterative bounds (at bound 1,
+// since running on past a yield while T1 could run is one preemption).
+struct RetryCells {
+  sp::AtomicU64 a{0}, x{0};
+};
+
+Litmus MakeRetryBeforeRivalLitmus(const std::shared_ptr<RetryCells>& cells) {
+  Litmus litmus;
+  litmus.name = "test-retry-before-rival";
+  litmus.setup = [cells] {
+    // mo: relaxed — single-threaded reset from the control thread.
+    cells->a.store(0, std::memory_order_relaxed);
+    cells->x.store(0, std::memory_order_relaxed);
+  };
+  litmus.bodies = {
+      [cells] {
+        // mo: relaxed — only the interleaving matters here.
+        cells->a.store(1, std::memory_order_relaxed);
+        sp::SyncPoint(nullptr, sp::OpKind::kYield);
+        (void)cells->x.load(std::memory_order_relaxed);
+      },
+      [cells] {
+        // mo: relaxed — only the interleaving matters here.
+        cells->x.store(1, std::memory_order_relaxed);
+      },
+  };
+  return litmus;
+}
+
+TEST(McExplorerTest, YielderRunningOnStaysAnAlternative) {
+  auto cells = std::make_shared<RetryCells>();
+  const Litmus litmus = MakeRetryBeforeRivalLitmus(cells);
+  const std::vector<int> retry_first = {0, 0, 0, 1};
+  const auto count_retry_first = [&](const ExploreResult& result) {
+    return std::count(result.schedule_tids.begin(), result.schedule_tids.end(), retry_first);
+  };
+
+  const ExploreResult unbounded = Explore(litmus, SmokeOptions());
+  EXPECT_FALSE(unbounded.budget_exhausted);
+  EXPECT_EQ(count_retry_first(unbounded), 1);
+
+  ExploreOptions bound0 = SmokeOptions();
+  bound0.switch_bound = 0;
+  const ExploreResult pruned = Explore(litmus, bound0);
+  EXPECT_EQ(count_retry_first(pruned), 0);
+  EXPECT_GT(pruned.bound_pruned, 0u);
+
+  const ExploreResult iterative = ExploreIterativeBounds(litmus, SmokeOptions());
+  EXPECT_EQ(count_retry_first(iterative), 1);
+  EXPECT_EQ(iterative.bound_pruned, 0u);
 }
 
 TEST(McRegressionTest, AstmPriorityRaceIsPinned) {
