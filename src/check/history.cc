@@ -31,6 +31,13 @@ void HistoryRecorder::Uninstall() {
   installed_ = false;
 }
 
+void HistoryRecorder::RecordInitial(const TxFieldBase& field) {
+  // raw-ok: no transaction is in flight, so the word is the committed value.
+  const uint64_t word = field.LoadRaw(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(mutex_);
+  bootstrap_[reinterpret_cast<uintptr_t>(&field)] = word;
+}
+
 History HistoryRecorder::TakeHistory() {
   std::lock_guard<std::mutex> lock(mutex_);
   History history;

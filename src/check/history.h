@@ -30,7 +30,9 @@
 //      mvstm/tl2 class of bugs) matches no reachable state and fails.
 // Locations never grounded by an explicit initial value are grounded by
 // their first observed read, exactly once — two transactions that disagree
-// on a never-written location's value can therefore never both pass.
+// on a never-written location's value can therefore never both pass. A value
+// stored before Install is not seen by the recorder; RecordInitial grounds
+// it, and without that a reader that saw it torn may define it instead.
 //
 // Finding an order is a certificate of serializability. Exhausting the
 // search space proves non-opacity; exhausting the *step budget* proves
@@ -89,6 +91,11 @@ class HistoryRecorder : public TxObserver {
   // Install/Uninstall must run while no transactions are in flight.
   void Install();
   void Uninstall();
+
+  // Records `field`'s current word as its initial value. For fields whose
+  // value was set before Install, which the recorder never saw. Call while
+  // no transaction is in flight.
+  void RecordInitial(const TxFieldBase& field);
 
   // Moves the recorded history out (call after Uninstall / quiescence).
   History TakeHistory();

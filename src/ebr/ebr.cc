@@ -85,6 +85,13 @@ int EbrDomain::RegisterThread() {
   for (int i = 0; i < kMaxThreads; ++i) {
     bool expected = false;
     if (slots_[i].in_use.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
+      // Raise the scan bound to cover slot i. This runs before the thread's
+      // first Quiesce, so the bound is published before the fence of its
+      // online transition (see OldestAnnouncement).
+      int bound = slot_bound_.load(std::memory_order_relaxed);
+      while (bound <= i &&
+             !slot_bound_.compare_exchange_weak(bound, i + 1, std::memory_order_relaxed)) {
+      }
       return i;
     }
   }
@@ -93,12 +100,13 @@ int EbrDomain::RegisterThread() {
 }
 
 void EbrDomain::UnregisterThread(int slot, std::deque<Retired>&& leftovers) {
-  {
+  if (!leftovers.empty()) {
     std::lock_guard<std::mutex> lock(orphan_mu_);
     const auto middle = static_cast<std::ptrdiff_t>(orphans_.size());
     orphans_.insert(orphans_.end(), leftovers.begin(), leftovers.end());
     std::inplace_merge(orphans_.begin(), orphans_.begin() + middle, orphans_.end(),
                        [](const Retired& a, const Retired& b) { return a.epoch < b.epoch; });
+    has_orphans_.store(true, std::memory_order_relaxed);
   }
   slots_[slot].local_epoch.store(kOffline, std::memory_order_release);
   slots_[slot].in_use.store(false, std::memory_order_release);
@@ -160,7 +168,17 @@ void EbrDomain::Offline() {
 EbrDomain::Announcement EbrDomain::OldestAnnouncement() const {
   // Offline threads and free slots announce kOffline, which never wins.
   Announcement oldest{global_epoch_.load(std::memory_order_acquire), -1};
-  for (int i = 0; i < kMaxThreads; ++i) {
+  // Only slots below the bound were ever handed out; the rest announce
+  // kOffline forever. Reading the bound relaxed is enough for TryReclaim,
+  // which reads it after its fence: a thread raises the bound before the
+  // fence of its first Quiesce, and that is the same store-load pattern as
+  // its announcement. If the registering thread's fence comes first, this
+  // read sees the raised bound (and the announcement); if the reclaimer's
+  // comes first, the new thread's reads see every unlink retired before it,
+  // so it cannot hold what this pass frees. The bound never shrinks, so a
+  // high slot stays scanned after the slots below it are freed and reused.
+  const int bound = slot_bound_.load(std::memory_order_relaxed);
+  for (int i = 0; i < bound; ++i) {
     const uint64_t epoch = slots_[i].local_epoch.load(std::memory_order_acquire);
     if (epoch < oldest.epoch) {
       oldest = Announcement{epoch, i};
@@ -202,17 +220,24 @@ void EbrDomain::TryReclaim() {
   }
   const uint64_t safe_before = min_epoch - 1;
   FreeSafe(LocalState().limbo_, safe_before);
-  if (orphan_mu_.try_lock()) {
-    FreeSafe(orphans_, safe_before);
+  // A stale false only defers the orphans to a later pass.
+  if (has_orphans_.load(std::memory_order_relaxed) && orphan_mu_.try_lock()) {
+    FreeOrphansLocked(safe_before);
     orphan_mu_.unlock();
   }
+}
+
+int64_t EbrDomain::FreeOrphansLocked(uint64_t safe_before) {
+  const int64_t freed = FreeSafe(orphans_, safe_before);
+  has_orphans_.store(!orphans_.empty(), std::memory_order_relaxed);
+  return freed;
 }
 
 int64_t EbrDomain::DrainAll() {
   const uint64_t everything = ~uint64_t{0};
   const int64_t freed = FreeSafe(LocalState().limbo_, everything);
   std::lock_guard<std::mutex> lock(orphan_mu_);
-  return freed + FreeSafe(orphans_, everything);
+  return freed + FreeOrphansLocked(everything);
 }
 
 int64_t EbrDomain::PendingCount() const { return pending_.load(std::memory_order_relaxed); }

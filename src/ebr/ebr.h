@@ -20,7 +20,10 @@
 //     thread that stops running operations (a caller blocked in join(), a
 //     thread that only builds, drains, checks or replays a structure) goes
 //     offline instead of pinning reclamation for everyone else;
-//   * any thread, online or offline, may Retire() objects it unlinked;
+//   * any thread, online or offline, may Retire() objects it unlinked. One
+//     Retire() is one limbo entry, whatever its deleter frees: mvstm retires
+//     all the versions an update commit displaced as one entry
+//     (src/mvstm/version_chain.h), index structures retire one node each;
 //   * deleters run on whichever thread triggers reclamation; they must not
 //     touch shared state.
 //
@@ -29,7 +32,9 @@
 // objects tagged with epoch E are freed once every online thread has
 // announced E + 2. A thread's limbo list is appended in epoch order, so a
 // reclamation pass frees a prefix and costs O(freed), not O(limbo): a
-// thread that lags behind costs memory, not CPU per operation.
+// thread that lags behind costs memory, not CPU per operation. The pass
+// reads only the slots handed out so far (a high-water mark), not all
+// kMaxThreads of them.
 
 #ifndef STMBENCH7_SRC_EBR_EBR_H_
 #define STMBENCH7_SRC_EBR_EBR_H_
@@ -84,10 +89,11 @@ class EbrDomain {
   // Frees every object the calling thread and exited threads retired,
   // unconditionally. Only safe when the caller guarantees no other thread is
   // inside a read-side section (e.g. after all workers joined). Returns the
-  // number of objects freed.
+  // number of entries freed.
   int64_t DrainAll();
 
-  // Number of objects currently waiting in limbo (approximate; for tests).
+  // Number of Retire() entries waiting in limbo (approximate; for tests and
+  // telemetry). An entry may free many objects, e.g. an mvstm commit's batch.
   int64_t PendingCount() const;
 
   uint64_t global_epoch() const { return global_epoch_.load(std::memory_order_acquire); }
@@ -133,6 +139,9 @@ class EbrDomain {
   // Frees the prefix of `limbo` retired before `safe_before`; the list must
   // be in nondecreasing epoch order. Returns the number freed.
   int64_t FreeSafe(std::deque<Retired>& limbo, uint64_t safe_before);
+  // FreeSafe over the orphan list, keeping has_orphans_ in step. The caller
+  // holds orphan_mu_.
+  int64_t FreeOrphansLocked(uint64_t safe_before);
 
   std::atomic<uint64_t> global_epoch_{2};
   // Distinguishes domain generations: a domain constructed at the address of
@@ -140,11 +149,16 @@ class EbrDomain {
   // alias across unrelated threads).
   uint64_t id_;
   Slot slots_[kMaxThreads];
+  // One past the highest slot index ever handed out; reclamation scans only
+  // the slots below it. Never shrinks.
+  std::atomic<int> slot_bound_{0};
 
   // Objects inherited from exited threads, kept in epoch order; protected by
-  // orphan_mu_.
+  // orphan_mu_. has_orphans_ mirrors !orphans_.empty() (written under the
+  // lock), so reclamation skips the lock while there are none.
   mutable std::mutex orphan_mu_;
   std::deque<Retired> orphans_;
+  std::atomic<bool> has_orphans_{false};
 
   std::atomic<int64_t> pending_{0};
 };

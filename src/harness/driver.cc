@@ -86,6 +86,7 @@ BenchmarkRunner::BenchmarkRunner(const BenchConfig& config) : config_(config) {
     // perf_event inherit only covers threads spawned afterwards.
     telemetry_->StartHw();
     telemetry_->SetStmSource([this]() { return StmSnapshot(); });
+    telemetry_->SetEbrDomain(&EbrDomain::Global());
     if (tracer_ != nullptr) {
       telemetry_->SetTraceDroppedSource([this]() { return tracer_->TotalDropped(); });
     }
@@ -182,17 +183,6 @@ BenchmarkRunner::BenchmarkRunner(const BenchConfig& config) : config_(config) {
                                         phase->executed.load(std::memory_order_relaxed))
                                   : 0.0;
         });
-    // Reclamation health: a stalled run shows a laggard slot that stays put
-    // while the epoch stands still and the pending count climbs.
-    telemetry_->registry().AddGauge(
-        "sb7_ebr_epoch", "Global EBR epoch",
-        []() { return static_cast<double>(EbrDomain::Global().global_epoch()); });
-    telemetry_->registry().AddGauge(
-        "sb7_ebr_pending", "Retired objects waiting to be freed",
-        []() { return static_cast<double>(EbrDomain::Global().PendingCount()); });
-    telemetry_->registry().AddGauge(
-        "sb7_ebr_laggard_slot", "EBR slot holding back the epoch (-1 = none)",
-        []() { return static_cast<double>(EbrDomain::Global().LaggardSlot()); });
   }
 }
 

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "src/check/history.h"
+#include "src/ebr/ebr.h"
 #include "src/mc/scheduler.h"
 #include "src/mc/sync_point.h"
 #include "src/mvstm/group_commit.h"
@@ -253,13 +254,33 @@ void ResetCell(McCell& cell) {
   }
 }
 
+// Frees, on the control thread, what earlier executions retired, so no
+// execution's reclamation pass frees (and reports to the scheduler) nodes of
+// another; and keeps the control thread offline, so it never holds the
+// epoch back.
+void ResetReclamation() {
+  EbrDomain::Global().DrainAll();
+  EbrDomain::Global().Offline();
+}
+
+// A fresh recorder whose history starts from the cells' reset values: they
+// were stored before Install, so without grounding the first read of a
+// cell would define its initial value.
+std::unique_ptr<HistoryRecorder> InstallRecorder(McCell& x, McCell& y) {
+  auto recorder = std::make_unique<HistoryRecorder>();
+  recorder->Install();
+  recorder->RecordInitial(x.value);
+  recorder->RecordInitial(y.value);
+  return recorder;
+}
+
 void StmSetup(const std::shared_ptr<StmCells>& cells) {
   ResetCell(cells->x);
   ResetCell(cells->y);
+  ResetReclamation();
   cells->r1 = cells->r2 = 0;
   cells->torn = false;
-  cells->recorder = std::make_unique<HistoryRecorder>();
-  cells->recorder->Install();
+  cells->recorder = InstallRecorder(cells->x, cells->y);
 }
 
 Litmus MakeStmLostUpdate(std::string_view backend) {
@@ -459,6 +480,47 @@ Litmus MakeStmTornPair(std::string_view backend) {
   return litmus;
 }
 
+// mvstm reclamation: a snapshot reader walks x's version chain while a
+// committer displaces the versions it needs, twice, and then runs
+// reclamation passes. Each commit retires its displaced versions as one
+// batch; EBR must keep a batch until the reader's transaction is over. The
+// batch deleter reports every node it frees to the scheduler and the walk
+// reports every node it reads, so a batch freed early is a use-after-free.
+Litmus MakeMvstmRetireSnapshot() {
+  auto cells = std::make_shared<StmCells>("mvstm");
+  Litmus litmus;
+  litmus.name = "mvstm-retire-snapshot";
+  litmus.summary = "snapshot walk never reads a version its rival's reclamation freed";
+  litmus.expect_violation = false;
+  // An early free needs one preemption: the reader pins its snapshot, then
+  // the committer runs.
+  litmus.switch_bound = 1;
+  litmus.setup = [cells] { StmSetup(cells); };
+  litmus.bodies = {
+      // Committer: the first commit displaces x's synthesized base version,
+      // the second the first commit's version. Three passes free a batch
+      // once no reader holds the epoch back.
+      [cells] {
+        for (int64_t value : {1, 2}) {
+          cells->stm->RunAtomically([&](Transaction&) { cells->x.value.Set(value); });
+        }
+        for (int pass = 0; pass < 3; ++pass) {
+          EbrDomain::Global().Quiesce();
+        }
+        EbrDomain::Global().Offline();
+      },
+      // Snapshot reader; offline once done, so the committer's passes can
+      // free what it no longer holds.
+      [cells] {
+        cells->stm->RunAtomically([&](Transaction&) { cells->r1 = cells->x.value.Get(); },
+                                  /*read_only=*/true);
+        EbrDomain::Global().Offline();
+      },
+  };
+  litmus.check = [cells]() -> std::string { return OpacityFailure(*cells); };
+  return litmus;
+}
+
 // --- group-commit litmus: the durability protocol under the explorer -------
 
 // mvstm with the group-commit sequencer attached, logging to an in-memory
@@ -485,9 +547,9 @@ void GroupCommitSetup(const std::shared_ptr<GroupCommitCells>& cells) {
   ResetCell(cells->x);
   ResetCell(cells->y);
   cells->r1 = cells->r2 = 0;
+  ResetReclamation();
   cells->members_before = cells->writer.stats().members;
-  cells->recorder = std::make_unique<HistoryRecorder>();
-  cells->recorder->Install();
+  cells->recorder = InstallRecorder(cells->x, cells->y);
 }
 
 // Opacity gate plus the write-ahead gate: every byte the sequencer appended
@@ -609,6 +671,7 @@ std::vector<Litmus> BuildAll() {
     all.push_back(MakeStmWriteSkew(backend));
     all.push_back(MakeStmTornPair(backend));
   }
+  all.push_back(MakeMvstmRetireSnapshot());
   all.push_back(MakeGroupCommitPair());
   all.push_back(MakeGroupCommitSnapshot());
   return all;

@@ -60,6 +60,12 @@ void ModelAlloc(const void* addr) {
   }
 }
 
+void ModelRead(const void* addr) {
+  if (tls_scheduler != nullptr) {
+    tls_scheduler->ModelReadAddr(addr);
+  }
+}
+
 McScheduler::McScheduler(std::vector<std::function<void()>> bodies)
     : bodies_(std::move(bodies)), cells_(bodies_.size()) {}
 
@@ -248,6 +254,14 @@ void McScheduler::RecordViolation(Violation violation) {
 void McScheduler::ModelAllocAddr(const void* addr) {
   std::lock_guard<std::mutex> lock(mutex_);
   freed_.erase(addr);
+}
+
+void McScheduler::ModelReadAddr(const void* addr) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (freed_.count(addr) != 0) {
+    RecordViolation(
+        Violation{Violation::Kind::kUseAfterFree, "plain read on freed " + AddressTag(addr)});
+  }
 }
 
 }  // namespace sb7::mc

@@ -126,6 +126,7 @@ class McScheduler {
 
   /// Model heap, callable from litmus bodies (thread-safe).
   void ModelAllocAddr(const void* addr);
+  void ModelReadAddr(const void* addr);
 
   // --- internal: called from sp::SyncPoint / thread wrappers ---
   void AtSyncPoint(const void* addr, sp::OpKind kind);
@@ -165,6 +166,12 @@ void ModelFree(const void* addr);
 
 /// Models (re)allocation at `addr`: removes it from the freed set.
 void ModelAlloc(const void* addr);
+
+/// Models a plain read of `addr` without a sync point: a read of a freed
+/// address is a use-after-free, but the read adds no scheduling choice. For
+/// plain reads that only a free can conflict with (mvstm version nodes):
+/// checking them leaves the schedules of every litmus as they were.
+void ModelRead(const void* addr);
 
 }  // namespace sb7::mc
 

@@ -67,9 +67,12 @@ bool MvTx::TakeWriteVersion(uint64_t* wv) {
 void MvTx::WriteBack(uint64_t wv) {
   // Publishing before the stripes unlock is what lets a concurrent snapshot
   // reader with start_ts >= wv proceed without waiting for the unlock.
+  DisplacedVersions* displaced = DisplacedVersions::New(write_log_.size());
   for (const WriteEntry& entry : write_log_) {
-    VersionChain::Publish(*entry.field, entry.value, wv);
+    VersionChain::Publish(*entry.field, entry.value, wv, *displaced);
   }
+  // One EBR entry for the whole commit; the clock already passed wv.
+  DisplacedVersions::Retire(displaced);
 }
 
 }  // namespace sb7

@@ -1,21 +1,88 @@
 #include "src/mvstm/version_chain.h"
 
 #include <atomic>
+#include <new>
 
 #include "src/common/diag.h"
 #include "src/ebr/ebr.h"
 #include "src/stm/lock_table.h"
 #include "src/stm/stm.h"
 
+#ifdef SB7_MC
+#include <mutex>
+#include <vector>
+
+#include "src/mc/scheduler.h"
+#endif
+
 namespace sb7 {
+
+namespace {
+
+// mo: relaxed (all uses) — leak-check tally; read single-threaded in tests.
+std::atomic<int64_t> g_live_mv_nodes{0};
+
+void FreeNode(MvVersion* node) {
+#ifdef SB7_MC
+  if (sp::UnderMcScheduler()) {
+    // Under the explorer a freed node is marked freed for the scheduler and
+    // kept mapped: a schedule that still reads it is reported as a
+    // use-after-free, instead of walking recycled memory. Never reused, so
+    // no later allocation can alias it.
+    static std::mutex mu;
+    static std::vector<MvVersion*>* quarantine = new std::vector<MvVersion*>();
+    mc::ModelFree(node);
+    std::lock_guard<std::mutex> lock(mu);
+    quarantine->push_back(node);
+    return;
+  }
+#endif
+  delete node;
+}
+
+}  // namespace
 
 namespace internal {
 
-void FreeMvHistoryHead(void* head) { delete static_cast<MvVersion*>(head); }
+void FreeMvHistoryHead(void* head) {
+  delete static_cast<MvVersion*>(head);
+  // mo: relaxed — see g_live_mv_nodes.
+  g_live_mv_nodes.fetch_sub(1, std::memory_order_relaxed);
+}
 
 }  // namespace internal
 
-void VersionChain::Publish(TxFieldBase& field, uint64_t value, uint64_t commit_ts) {
+// mo: relaxed — see g_live_mv_nodes.
+int64_t MvVersion::LiveNodeCount() { return g_live_mv_nodes.load(std::memory_order_relaxed); }
+
+DisplacedVersions* DisplacedVersions::New(size_t capacity) {
+  // One block: the header, then the node pointers.
+  static_assert(sizeof(DisplacedVersions) % alignof(MvVersion*) == 0);
+  void* block = ::operator new(sizeof(DisplacedVersions) + capacity * sizeof(MvVersion*));
+  return new (block) DisplacedVersions(capacity);
+}
+
+void DisplacedVersions::Retire(DisplacedVersions* batch) {
+  // mo: relaxed — see g_live_mv_nodes.
+  g_live_mv_nodes.fetch_add(static_cast<int64_t>(batch->allocated_),
+                            std::memory_order_relaxed);
+  EbrDomain::Global().Retire(batch, &DisplacedVersions::Free);
+}
+
+void DisplacedVersions::Free(void* ptr) {
+  auto* batch = static_cast<DisplacedVersions*>(ptr);
+  for (size_t i = 0; i < batch->size_; ++i) {
+    FreeNode(batch->nodes()[i]);
+  }
+  // mo: relaxed — see g_live_mv_nodes.
+  g_live_mv_nodes.fetch_sub(static_cast<int64_t>(batch->size_), std::memory_order_relaxed);
+  batch->~DisplacedVersions();
+  ::operator delete(batch);
+}
+
+void VersionChain::Publish(TxFieldBase& field, uint64_t value, uint64_t commit_ts,
+                           DisplacedVersions& displaced) {
+  SB7_DCHECK(displaced.size_ < displaced.capacity_);
   // mo: relaxed — the committer holds this field's stripe lock, so it is the
   // only possible writer of the head and the word until it unlocks.
   auto* old_head = static_cast<MvVersion*>(field.LoadMvHistory(std::memory_order_relaxed));
@@ -23,8 +90,10 @@ void VersionChain::Publish(TxFieldBase& field, uint64_t value, uint64_t commit_t
     // First write ever: synthesize the pre-history version so that readers
     // with a start timestamp below `commit_ts` still find their snapshot.
     old_head = new MvVersion{field.LoadRaw(std::memory_order_relaxed), 0, nullptr};
+    ++displaced.allocated_;
   }
   auto* node = new MvVersion{value, commit_ts, old_head};
+  ++displaced.allocated_;
   // Publish the version before the in-place word: a reader that sees the new
   // word but a null history head would misattribute it to the pre-history
   // snapshot (see the chain-empty fallback in ReadAtSnapshot).
@@ -33,10 +102,11 @@ void VersionChain::Publish(TxFieldBase& field, uint64_t value, uint64_t commit_t
   field.StoreMvHistory(node, std::memory_order_release);
   field.StoreRaw(value, std::memory_order_release);
   // The displaced node stays reachable (node->next) for the read-only
-  // transactions that still need it; EBR frees it only once every registered
-  // thread has quiesced, i.e. once those transactions have finished. Later
-  // transactions pin start_ts >= commit_ts and stop their walk at `node`.
-  EbrDomain::Global().RetireObject(old_head);
+  // transactions that still need it; EBR frees its batch only once every
+  // registered thread has quiesced, i.e. once those transactions have
+  // finished. Later transactions pin start_ts >= commit_ts and stop their
+  // walk at `node`.
+  displaced.nodes()[displaced.size_++] = old_head;
 }
 
 uint64_t VersionChain::ReadAtSnapshot(const TxFieldBase& field, uint64_t snapshot_ts) {
@@ -85,6 +155,11 @@ uint64_t VersionChain::ReadAtSnapshot(const TxFieldBase& field, uint64_t snapsho
       return word;
     }
     for (; node != nullptr; node = node->next) {
+#ifdef SB7_MC
+      // A node is plain memory: the explorer checks its reads against the
+      // frees it has granted, so reading one reclamation freed is reported.
+      mc::ModelRead(node);
+#endif
       if (node->commit_ts <= snapshot_ts) {
         return node->value;
       }
@@ -93,24 +168,5 @@ uint64_t VersionChain::ReadAtSnapshot(const TxFieldBase& field, uint64_t snapsho
     SB7_CHECK(false && "mvstm: version chain missing snapshot version");
   }
 }
-
-namespace {
-std::atomic<int64_t> g_live_mv_nodes{0};
-}  // namespace
-
-void* MvVersion::operator new(size_t size) {
-  // mo: relaxed — leak-check tally; read single-threaded in tests.
-  g_live_mv_nodes.fetch_add(1, std::memory_order_relaxed);
-  return ::operator new(size);
-}
-
-void MvVersion::operator delete(void* ptr) {
-  // mo: relaxed — leak-check tally; read single-threaded in tests.
-  g_live_mv_nodes.fetch_sub(1, std::memory_order_relaxed);
-  ::operator delete(ptr);
-}
-
-// mo: relaxed — leak-check tally; read single-threaded in tests.
-int64_t MvVersion::LiveNodeCount() { return g_live_mv_nodes.load(std::memory_order_relaxed); }
 
 }  // namespace sb7

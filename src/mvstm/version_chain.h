@@ -10,17 +10,21 @@
 // Reclamation piggybacks on the EBR domain and keeps the lists short without
 // any per-field garbage-collection pass:
 //
-//   * When a push displaces the previous head N_old, N_old is retired
-//     immediately. Any read-only transaction that still needs N_old (start
-//     timestamp < the new version's commit_ts) is between two quiescent
-//     points, so EBR's grace period keeps N_old alive until it finishes.
+//   * A push displaces the previous head N_old and hands it back to the
+//     committer. An update commit gathers the nodes it displaced, one per
+//     written field, into one DisplacedVersions batch and retires the batch
+//     as one EBR entry once its writeback is done; the batch's deleter frees
+//     every node in it. Any read-only transaction that still needs N_old
+//     (start timestamp < the new version's commit_ts) is between two
+//     quiescent points, so EBR's grace period keeps N_old alive until it
+//     finishes.
 //   * Transactions that begin after the retirement pin a start timestamp >=
 //     the new head's commit_ts (the commit advanced the global clock before
 //     retiring), so their walk stops at the new head and never dereferences
 //     the dangling `next` pointer below it.
 //   * The first push to a field synthesizes a base version {initial value,
 //     ts 0} below the new head — the pre-history snapshot older readers need
-//     — and retires it by the same rule.
+//     — and it is displaced, batched and retired by the same rule.
 //
 // Net effect: at any instant exactly one node per field (the head) is owned
 // by the chain; everything older is in EBR limbo or already freed. The field
@@ -44,11 +48,39 @@ struct MvVersion {
   // commit_ts can exist; such a node is never dereferenced (see above).
   const MvVersion* next;
 
-  // Allocation is instrumented so tests can prove that version nodes are
-  // actually reclaimed instead of accumulating per commit.
-  static void* operator new(size_t size);
-  static void operator delete(void* ptr);
+  // Nodes allocated by Publish and not yet freed, so tests can prove that
+  // version nodes are reclaimed instead of accumulating per commit. Moved
+  // once per commit and once per freed batch, not per node.
   static int64_t LiveNodeCount();
+};
+
+// The versions one update commit displaced, retired to EBR as one entry.
+// Sized for the commit's write set: one node per written field.
+class DisplacedVersions {
+ public:
+  static DisplacedVersions* New(size_t capacity);
+
+  DisplacedVersions(const DisplacedVersions&) = delete;
+  DisplacedVersions& operator=(const DisplacedVersions&) = delete;
+
+  // Retires the batch through EbrDomain::Global(); its deleter frees every
+  // node in it, then the batch. The caller must have advanced the global
+  // clock to the timestamp of the commit that displaced them.
+  static void Retire(DisplacedVersions* batch);
+
+ private:
+  friend class VersionChain;
+
+  explicit DisplacedVersions(size_t capacity) : capacity_(capacity) {}
+  static void Free(void* batch);
+
+  MvVersion** nodes() { return reinterpret_cast<MvVersion**>(this + 1); }
+
+  size_t capacity_;
+  size_t size_ = 0;
+  // Nodes Publish allocated for this commit: one head per field, plus the
+  // synthesized base versions.
+  size_t allocated_ = 0;
 };
 
 class VersionChain {
@@ -56,9 +88,11 @@ class VersionChain {
   // Publishes `value` as the newest committed version of `field` at
   // `commit_ts` and stores it in place. The caller must hold the field's
   // stripe lock and must already have advanced the global clock to at least
-  // `commit_ts`. Retires the displaced head (or the synthesized base version
-  // on the first push) through EbrDomain::Global().
-  static void Publish(TxFieldBase& field, uint64_t value, uint64_t commit_ts);
+  // `commit_ts`. Adds the displaced head (or the synthesized base version
+  // on the first push) to `displaced`, which the caller retires once the
+  // whole write set is published.
+  static void Publish(TxFieldBase& field, uint64_t value, uint64_t commit_ts,
+                      DisplacedVersions& displaced);
 
   // Returns the value of the newest version with commit_ts <= snapshot_ts.
   // Tries the in-place word under the stripe's pre/post check first, then
@@ -68,7 +102,6 @@ class VersionChain {
   // inside an EBR grace period (registered and not quiescing until the
   // enclosing transaction finishes).
   static uint64_t ReadAtSnapshot(const TxFieldBase& field, uint64_t snapshot_ts);
-
 };
 
 }  // namespace sb7

@@ -83,6 +83,11 @@ std::string SampleToJson(const Sample& sample) {
         << ", \"llc_misses\": " << sample.hw.llc_misses
         << ", \"stalled_cycles\": " << sample.hw.stalled_cycles << "}";
   }
+  if (sample.has_ebr) {
+    out << ", \"ebr\": {\"epoch\": " << sample.ebr_epoch
+        << ", \"pending\": " << sample.ebr_pending
+        << ", \"laggard_slot\": " << sample.ebr_laggard_slot << "}";
+  }
   out << ", \"trace_dropped\": " << sample.trace_dropped << "}";
   return out.str();
 }
@@ -220,6 +225,15 @@ std::string ValidateTelemetryJsonl(std::istream& in) {
     if (const char* key = MissingKey(*latency, {"count", "p50", "p90", "p99", "p999", "max"},
                                      JsonValue::Kind::kNumber)) {
       return LineError(line_no, std::string("latency_ms lacks numeric \"") + key + "\"");
+    }
+    if (const JsonValue* ebr = record.Find("ebr"); ebr != nullptr) {
+      if (!ebr->is_object()) {
+        return LineError(line_no, "\"ebr\" is not an object");
+      }
+      if (const char* key = MissingKey(*ebr, {"epoch", "pending", "laggard_slot"},
+                                       JsonValue::Kind::kNumber)) {
+        return LineError(line_no, std::string("ebr lacks numeric \"") + key + "\"");
+      }
     }
     const auto seq = static_cast<int64_t>(record.Find("seq")->AsNumber());
     const double t_s = record.Find("t_s")->AsNumber();

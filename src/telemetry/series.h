@@ -16,6 +16,8 @@
 //             optional "stm": {counter: value, ...}  (cumulative),
 //             optional "hw": {"cycles": N, "instructions": N,
 //                             "llc_misses": N, "stalled_cycles": N},
+//             optional "ebr": {"epoch": N, "pending": N,
+//                              "laggard_slot": N}  (point-in-time),
 //             "trace_dropped": N}
 //   last     {"kind": "footer", "samples": N, "samples_dropped": N}
 // Counters are cumulative since run start; ops_per_s and latency_ms are the
@@ -86,6 +88,12 @@ struct Sample {
 
   int64_t trace_dropped = 0;
   HwSample hw;
+
+  // EBR reclamation health at the tick; pending counts Retire() entries.
+  bool has_ebr = false;
+  uint64_t ebr_epoch = 0;
+  int64_t ebr_pending = 0;
+  int ebr_laggard_slot = -1;
 };
 
 // Bounded FIFO of samples; Push drops the oldest once full and counts the

@@ -6,6 +6,7 @@
 
 #include "src/common/json.h"
 #include "src/common/timing.h"
+#include "src/ebr/ebr.h"
 
 namespace sb7::telemetry {
 
@@ -58,6 +59,20 @@ void Telemetry::SetTraceDroppedSource(std::function<int64_t()> source) {
                                                             trace_dropped_source_())
                                                       : 0.0;
                        });
+}
+
+void Telemetry::SetEbrDomain(const EbrDomain* domain) {
+  ebr_ = domain;
+  // Reclamation health: a stalled run shows a laggard slot that stays put
+  // while the epoch stands still and the pending count climbs.
+  registry_.AddGauge("sb7_ebr_epoch", "Global EBR epoch",
+                     [domain]() { return static_cast<double>(domain->global_epoch()); });
+  registry_.AddGauge(
+      "sb7_ebr_pending",
+      "Retire() entries waiting to be freed (an mvstm entry is one commit's batch)",
+      [domain]() { return static_cast<double>(domain->PendingCount()); });
+  registry_.AddGauge("sb7_ebr_laggard_slot", "EBR slot holding back the epoch (-1 = none)",
+                     [domain]() { return static_cast<double>(domain->LaggardSlot()); });
 }
 
 void Telemetry::StartHw() {
@@ -181,6 +196,12 @@ void Telemetry::SampleNow() {
     sample.trace_dropped = trace_dropped_source_();
   }
   sample.hw = hw_.Read();
+  if (ebr_ != nullptr) {
+    sample.has_ebr = true;
+    sample.ebr_epoch = ebr_->global_epoch();
+    sample.ebr_pending = ebr_->PendingCount();
+    sample.ebr_laggard_slot = ebr_->LaggardSlot();
+  }
 
   prev_t_s_ = sample.t_s;
   prev_completed_ = sample.completed;

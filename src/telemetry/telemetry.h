@@ -27,6 +27,10 @@
 #include "src/telemetry/registry.h"
 #include "src/telemetry/series.h"
 
+namespace sb7 {
+class EbrDomain;
+}  // namespace sb7
+
 namespace sb7::telemetry {
 
 // Time source seam. The default reads the process steady clock; tests
@@ -90,6 +94,9 @@ class Telemetry {
   void SetPhase(int index, const std::string& name);
   void SetStmSource(std::function<StmStats::View()> source);
   void SetTraceDroppedSource(std::function<int64_t()> source);
+  // Reports `domain`'s reclamation health: the sb7_ebr_* gauges and an
+  // "ebr" block in every sample.
+  void SetEbrDomain(const EbrDomain* domain);
   // Opens the hardware counters; call before the worker threads are spawned
   // (perf_event inherit semantics). No-op when options.hw_counters is off.
   void StartHw();
@@ -136,6 +143,7 @@ class Telemetry {
 
   std::function<StmStats::View()> stm_source_;
   std::function<int64_t()> trace_dropped_source_;
+  const EbrDomain* ebr_ = nullptr;
 
   std::atomic<int64_t> completed_{0};
   std::atomic<int64_t> failed_{0};

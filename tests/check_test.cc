@@ -190,6 +190,45 @@ TEST(OpacityCheckerTest, AcceptsRecordedMvstmHistoryWithSnapshotReaders) {
   EbrDomain::Global().DrainAll();
 }
 
+// A value stored before Install is invisible to the recorder. A snapshot
+// reader that saw it next to a newer value (a stale mvstm head did exactly
+// this) is caught only once RecordInitial grounds the field; otherwise the
+// reader's own reads define the "initial" values and the history passes.
+TEST(OpacityCheckerTest, GroundsValuesStoredBeforeInstall) {
+  auto stm = MakeStm("tl2");
+  Cell x(0);
+  Cell y(0);
+  const auto record = [&](bool ground) {
+    x.value.Set(0);  // before Install: not recorded
+    y.value.Set(0);
+    HistoryRecorder recorder;
+    recorder.Install();
+    if (ground) {
+      recorder.RecordInitial(x.value);
+      recorder.RecordInitial(y.value);
+    }
+    // A faulty reader begins, a writer commits x = y = 1 on another thread,
+    // and the reader reports x == 0, y == 1.
+    recorder.OnTxBegin(/*read_only=*/true);
+    std::thread([&] {
+      stm->RunAtomically([&](Transaction&) {
+        x.value.Set(1);
+        y.value.Set(1);
+      });
+    }).join();
+    recorder.OnTxRead(x.value, 0);
+    recorder.OnTxRead(y.value, 1);
+    recorder.OnTxCommit();
+    recorder.Uninstall();
+    return CheckOpacity(recorder.TakeHistory());
+  };
+  const OpacityResult grounded = record(/*ground=*/true);
+  EXPECT_FALSE(grounded.ok());
+  EXPECT_FALSE(grounded.inconclusive);
+  // The gap the grounding closes: ungrounded, the same history passes.
+  EXPECT_TRUE(record(/*ground=*/false).ok());
+}
+
 // Builds a HistoryTx from (begin, commit, accesses).
 HistoryTx MakeTx(uint64_t begin_ts, uint64_t commit_ts,
                  std::vector<HistoryAccess> accesses) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -305,6 +307,101 @@ TEST(EbrTest, OrphansOfExitedThreadsAreReclaimedInEpochOrder) {
 
   Reclaim(domain, 4);
   EXPECT_EQ(late.load(), 5);
+  EXPECT_EQ(domain.PendingCount(), 0);
+}
+
+TEST(EbrTest, ScanCoversTheHighestSlotEverHandedOut) {
+  std::atomic<int> destroyed{0};
+  EbrDomain domain;
+  domain.Quiesce();  // slot 0
+
+  // Slots 1..kLow: registered threads that hold their slots offline.
+  constexpr int kLow = 5;
+  std::vector<std::unique_ptr<ParkedThread>> low;
+  for (int i = 0; i < kLow; ++i) {
+    low.push_back(std::make_unique<ParkedThread>(domain));
+    low.back()->GoOffline();
+  }
+  // The thread above them lags: online at the epoch of its registration.
+  ParkedThread high(domain);
+  high.GoOnline();
+  constexpr int kHighSlot = kLow + 1;
+
+  const uint64_t pinned = domain.global_epoch();
+  RetireTracked(domain, destroyed);
+  Reclaim(domain, 8);
+  EXPECT_LE(domain.global_epoch() - pinned, 1u);
+  EXPECT_EQ(destroyed.load(), 0);
+  EXPECT_EQ(domain.LaggardSlot(), kHighSlot);
+
+  // Every slot below it frees, and a new thread reuses the lowest: the
+  // high slot must still be scanned.
+  low.clear();
+  ParkedThread reuser(domain);
+  reuser.GoOnline();
+  Reclaim(domain, 8);
+  EXPECT_LE(domain.global_epoch() - pinned, 1u);
+  EXPECT_EQ(destroyed.load(), 0);
+  EXPECT_EQ(domain.LaggardSlot(), kHighSlot);
+
+  high.GoOffline();
+  reuser.GoOffline();
+  Reclaim(domain, 4);
+  EXPECT_EQ(destroyed.load(), 1);
+  EXPECT_EQ(domain.PendingCount(), 0);
+  domain.Offline();
+  EXPECT_EQ(domain.LaggardSlot(), -1);
+}
+
+// Readers register, each in a slot above every slot handed out before it,
+// while a writer keeps retiring the object they read. A reader whose
+// registration the reclaimer's scan missed would read a freed object
+// (caught by the `alive` check here, or by the sanitizers).
+TEST(EbrTest, ThreadsRegisteringDuringReclamationAreWaitedFor) {
+  struct Guarded {
+    std::atomic<bool> alive{true};
+    ~Guarded() { alive.store(false); }
+  };
+  EbrDomain domain;
+  std::atomic<Guarded*> shared{new Guarded()};
+  std::atomic<bool> stop{false};
+  std::atomic<bool> saw_freed{false};
+
+  std::thread writer([&] {
+    while (!stop.load()) {
+      Guarded* old = shared.exchange(new Guarded());
+      domain.Retire(old, [](void* p) { delete static_cast<Guarded*>(p); });
+      domain.Quiesce();
+    }
+    domain.Offline();
+  });
+  constexpr int kReaders = 6;
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    // Each reader holds its slot until the end, so every reader raises the
+    // scan bound while the writer reclaims.
+    readers.emplace_back([&] {
+      for (int i = 0; i < 2'000; ++i) {
+        domain.Quiesce();
+        if (!shared.load()->alive.load()) {
+          saw_freed = true;
+        }
+      }
+      domain.Offline();
+      while (!stop.load()) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  stop = true;
+  for (std::thread& reader : readers) {
+    reader.join();
+  }
+  writer.join();
+  EXPECT_FALSE(saw_freed.load());
+  delete shared.load();
+  domain.DrainAll();
   EXPECT_EQ(domain.PendingCount(), 0);
 }
 

@@ -175,6 +175,44 @@ TEST(MvstmTest, VersionNodesAreReclaimedThroughEbr) {
   EXPECT_EQ(MvVersion::LiveNodeCount(), baseline);
 }
 
+TEST(MvstmTest, UpdateCommitRetiresOneBatchForItsWholeWriteSet) {
+  EbrDomain& ebr = EbrDomain::Global();
+  ebr.DrainAll();
+  const int64_t live_before = MvVersion::LiveNodeCount();
+  MvStm stm;
+  constexpr int kCells = 6;
+  constexpr int kWritten = kCells / 2;  // fields with a history already
+  std::vector<std::unique_ptr<Cell>> cells;
+  for (int i = 0; i < kCells; ++i) {
+    cells.push_back(std::make_unique<Cell>(i));
+  }
+  stm.RunAtomically([&](Transaction&) {
+    for (int i = 0; i < kWritten; ++i) {
+      cells[i]->value.Set(100 + i);
+    }
+  });
+  ebr.DrainAll();
+  // One head per written field.
+  EXPECT_EQ(MvVersion::LiveNodeCount() - live_before, kWritten);
+
+  // Half the fields displace a head, the other half their synthesized base
+  // version: still one EBR entry for the commit.
+  const int64_t pending_before = ebr.PendingCount();
+  stm.RunAtomically([&](Transaction&) {
+    for (auto& cell : cells) {
+      cell->value.Set(cell->value.Get() + 1);
+    }
+  });
+  EXPECT_EQ(ebr.PendingCount() - pending_before, 1);
+  // Heads for every field, plus the displaced versions in limbo.
+  EXPECT_EQ(MvVersion::LiveNodeCount() - live_before, 2 * kCells);
+
+  EXPECT_EQ(ebr.DrainAll(), 1);
+  EXPECT_EQ(MvVersion::LiveNodeCount() - live_before, kCells);
+  cells.clear();  // the field destructors free the heads
+  EXPECT_EQ(MvVersion::LiveNodeCount(), live_before);
+}
+
 TEST(MvstmTest, ReadOnlyPathDoesNoValidationWork) {
   MvStm stm;
   Cell cell(3);

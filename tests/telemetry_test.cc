@@ -694,11 +694,25 @@ TEST(TelemetryEndToEndTest, DriverRunProducesAValidSeries) {
   }
   EXPECT_EQ(series.back().completed, runner.telemetry()->CompletedOps());
   EXPECT_EQ(series.back().completed, result.total_success);
+  for (const Sample& sample : series) {
+    EXPECT_TRUE(sample.has_ebr);
+    EXPECT_GT(sample.ebr_epoch, 0u);
+  }
 
   std::ostringstream out;
   runner.telemetry()->WriteJsonl(out);
-  std::istringstream in(out.str());
+  const std::string jsonl = out.str();
+  std::istringstream in(jsonl);
   EXPECT_EQ(telemetry::ValidateTelemetryJsonl(in), "");
+  EXPECT_NE(jsonl.find("\"ebr\": {\"epoch\": "), std::string::npos);
+
+  // An "ebr" block that lacks a field is rejected.
+  std::string broken = jsonl;
+  const size_t pos = broken.find("\"laggard_slot\"");
+  ASSERT_NE(pos, std::string::npos);
+  broken.replace(pos, std::strlen("\"laggard_slot\""), "\"laggard\"");
+  std::istringstream broken_in(broken);
+  EXPECT_NE(telemetry::ValidateTelemetryJsonl(broken_in), "");
 }
 
 double Gauge(const MetricsRegistry& registry, const std::string& name) {
